@@ -1,6 +1,8 @@
 #include "core/problem.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace painter::core {
 namespace {
@@ -115,6 +117,11 @@ ProblemInstance BuildMeasuredInstance(
     const cloudsim::PolicyCatalog& catalog,
     const cloudsim::IngressResolver& resolver,
     const measure::LatencyOracle& oracle, util::Rng& rng, int ping_count) {
+  if (ping_count < 1) {
+    throw std::invalid_argument(
+        "BuildMeasuredInstance: ping_count must be >= 1, got " +
+        std::to_string(ping_count));
+  }
   ProblemInstance inst;
   const auto& ugs = deployment.ugs();
   inst.ug_weight.resize(ugs.size());

@@ -78,6 +78,7 @@ struct FlatPeeringIndex {
 };
 
 // Prototype setting: probe each compliant ingress (min of `ping_count`).
+// Throws std::invalid_argument if ping_count < 1.
 [[nodiscard]] ProblemInstance BuildMeasuredInstance(
     const topo::Internet& internet, const cloudsim::Deployment& deployment,
     const cloudsim::PolicyCatalog& catalog,

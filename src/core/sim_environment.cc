@@ -1,6 +1,24 @@
 #include "core/sim_environment.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace painter::core {
+
+SimEnvironment::SimEnvironment(const cloudsim::IngressResolver& resolver,
+                               const measure::LatencyOracle& oracle,
+                               util::Rng rng, int ping_count, int day)
+    : resolver_(&resolver),
+      oracle_(&oracle),
+      rng_(rng),
+      ping_count_(ping_count),
+      day_(day) {
+  if (ping_count < 1) {
+    throw std::invalid_argument(
+        "SimEnvironment: ping_count must be >= 1, got " +
+        std::to_string(ping_count));
+  }
+}
 
 std::vector<AdvertisementEnvironment::PrefixObservation>
 SimEnvironment::Execute(const AdvertisementConfig& config) {

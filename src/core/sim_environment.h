@@ -15,14 +15,10 @@ namespace painter::core {
 
 class SimEnvironment final : public AdvertisementEnvironment {
  public:
+  // Throws std::invalid_argument if ping_count < 1.
   SimEnvironment(const cloudsim::IngressResolver& resolver,
                  const measure::LatencyOracle& oracle, util::Rng rng,
-                 int ping_count = 7, int day = 0)
-      : resolver_(&resolver),
-        oracle_(&oracle),
-        rng_(rng),
-        ping_count_(ping_count),
-        day_(day) {}
+                 int ping_count = 7, int day = 0);
 
   [[nodiscard]] std::vector<PrefixObservation> Execute(
       const AdvertisementConfig& config) override;

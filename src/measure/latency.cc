@@ -1,6 +1,9 @@
 #include "measure/latency.h"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace painter::measure {
 
@@ -92,22 +95,37 @@ util::Millis LatencyOracle::TrueRttOnDay(util::UgId ug,
   return util::Millis{rtt};
 }
 
+namespace {
+
+// Queueing/processing noise of one ping: exponential tail, occasionally a
+// large spike. Always >= 0, so a ping never beats the truth.
+double PingNoise(util::Rng& rng) {
+  double noise = rng.Exponential(1.0 / 1.5);
+  if (rng.Bernoulli(0.05)) noise += rng.Exponential(1.0 / 20.0);
+  return noise;
+}
+
+}  // namespace
+
 util::Millis LatencyOracle::ProbeOnce(util::UgId ug, util::PeeringId peering,
                                       util::Rng& rng, int day) const {
   const double truth = TrueRttOnDay(ug, peering, day).count();
-  // Queueing/processing noise: exponential tail, occasionally a large spike.
-  double noise = rng.Exponential(1.0 / 1.5);
-  if (rng.Bernoulli(0.05)) noise += rng.Exponential(1.0 / 20.0);
-  return util::Millis{truth + noise};
+  return util::Millis{truth + PingNoise(rng)};
 }
 
 util::Millis LatencyOracle::MeasureMin(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int count,
                                        int day) const {
-  double best = ProbeOnce(ug, peering, rng, day).count();
-  for (int i = 1; i < count; ++i) {
-    best = std::min(best, ProbeOnce(ug, peering, rng, day).count());
+  if (count < 1) {
+    throw std::invalid_argument("MeasureMin: ping count must be >= 1, got " +
+                                std::to_string(count));
   }
+  // The truth is pure in (ug, peering, day): compute it once and draw only
+  // the per-ping noise, in the same order and with the same `truth + noise`
+  // arithmetic as `count` ProbeOnce calls.
+  const double truth = TrueRttOnDay(ug, peering, day).count();
+  double best = truth + PingNoise(rng);
+  for (int i = 1; i < count; ++i) best = std::min(best, truth + PingNoise(rng));
   return util::Millis{best};
 }
 

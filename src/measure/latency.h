@@ -89,7 +89,11 @@ class LatencyOracle {
   [[nodiscard]] util::Millis ProbeOnce(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int day = 0) const;
 
-  // Min over `count` pings — the paper's measurement primitive.
+  // Min over `count` pings — the paper's measurement primitive. Bit-identical
+  // to the min of `count` ProbeOnce calls on the same rng, but the ground
+  // truth is computed once per call (it is pure in ug, peering and day) and
+  // only the per-ping noise is drawn per ping. Throws std::invalid_argument
+  // if count < 1.
   [[nodiscard]] util::Millis MeasureMin(util::UgId ug, util::PeeringId peering,
                                         util::Rng& rng, int count = 7,
                                         int day = 0) const;

@@ -7,12 +7,70 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
 
 namespace painter::util {
+
+// MT19937-64 producing exactly std::mt19937_64's output sequence, but with
+// lazy state. std initializes all 312 state words at construction and twists
+// all 312 on the first draw; most Rngs here are one-shot `Rng{MixSeed(...)}`
+// streams that use 1-4 outputs, so that work dominated their cost. This
+// engine computes seed words only as far as the next twist reads them
+// (output k of the first block needs words k, k+1 and k+156) and twists one
+// word per output. Twisting word k in place, in order, reads exactly the
+// values the batch twist reads at step k, so the sequence is unchanged.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt19937_64(result_type seed) { x_[0] = seed; }
+
+  [[nodiscard]] static constexpr result_type min() { return 0; }
+  [[nodiscard]] static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ == kN) next_ = 0;
+    if (seeded_ < kN) SeedThrough(std::min(kN, next_ + kM + 1));
+    const std::size_t k = next_++;
+    const result_type y =
+        (x_[k] & kUpperMask) | (x_[k + 1 == kN ? 0 : k + 1] & kLowerMask);
+    result_type z = x_[k < kN - kM ? k + kM : k + kM - kN] ^ (y >> 1) ^
+                    ((y & 1) * kMatrixA);
+    x_[k] = z;
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr result_type kMatrixA = 0xb5026f5aa96619e9ULL;
+  static constexpr result_type kUpperMask = ~result_type{0} << 31;
+  static constexpr result_type kLowerMask = ~kUpperMask;
+
+  // Extends the seed state (std's initialization recurrence) to words
+  // [seeded_, end).
+  void SeedThrough(std::size_t end) {
+    result_type prev = x_[seeded_ - 1];
+    for (std::size_t i = seeded_; i < end; ++i) {
+      prev = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+      x_[i] = prev;
+    }
+    seeded_ = end;
+  }
+
+  std::array<result_type, kN> x_{};  // value-initialized: copies are defined
+  std::size_t next_ = 0;    // index of the next word to twist and emit
+  std::size_t seeded_ = 1;  // words [0, seeded_) hold seed or twisted state
+};
 
 class Rng {
  public:
@@ -79,10 +137,8 @@ class Rng {
     std::shuffle(items.begin(), items.end(), engine_);
   }
 
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace painter::util

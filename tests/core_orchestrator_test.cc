@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
@@ -276,6 +278,15 @@ TEST(SimEnvironmentTest, ObservationsMatchResolver) {
                 w.oracle->TrueRtt(util::UgId{u}, *expected[u]).count());
     }
   }
+}
+
+TEST(SimEnvironmentTest, RejectsNonPositivePingCount) {
+  const test::World& w = test::SharedWorld();
+  for (const int bad : {0, -2}) {
+    EXPECT_THROW((SimEnvironment{*w.resolver, *w.oracle, util::Rng{2}, bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW((SimEnvironment{*w.resolver, *w.oracle, util::Rng{2}, 1}));
 }
 
 }  // namespace

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+
 #include "measure/geolocation.h"
 #include "tests/world_fixture.h"
 
@@ -52,6 +59,80 @@ TEST_F(OracleTest, MinOfManyPingsApproachesTruth) {
       w_.oracle->MeasureMin(Ug0(), Sess0(), rng, 31).count();
   EXPECT_GE(measured, truth);
   EXPECT_LE(measured - truth, 2.0);  // min of 31 exponential(1.5ms) draws
+}
+
+// Finds a (ug, peering, day) inside a degraded regime: its true RTT that day
+// exceeds the day-0 baseline.
+struct DegradedPoint {
+  util::UgId ug;
+  util::PeeringId peering;
+  int day = 0;
+};
+
+std::optional<DegradedPoint> FindDegradedPoint(const LatencyOracle& oracle) {
+  for (const auto& ug : oracle.deployment().ugs()) {
+    for (const auto& sess : oracle.deployment().peerings()) {
+      const double base = oracle.TrueRtt(ug.id, sess.id).count();
+      for (int day = 1; day <= 30; ++day) {
+        if (oracle.TrueRttOnDay(ug.id, sess.id, day).count() > base) {
+          return DegradedPoint{ug.id, sess.id, day};
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST_F(OracleTest, MeasureMinBitIdenticalToProbeOnceFold) {
+  const auto degraded = FindDegradedPoint(*w_.oracle);
+  ASSERT_TRUE(degraded.has_value());
+  const DegradedPoint points[] = {{Ug0(), Sess0(), 0}, *degraded};
+  for (const DegradedPoint& pt : points) {
+    for (const int n : {1, 7, 31}) {
+      util::Rng fast{MixSeed(77, static_cast<std::uint64_t>(n))};
+      util::Rng slow{MixSeed(77, static_cast<std::uint64_t>(n))};
+      const double measured =
+          w_.oracle->MeasureMin(pt.ug, pt.peering, fast, n, pt.day).count();
+      double folded =
+          w_.oracle->ProbeOnce(pt.ug, pt.peering, slow, pt.day).count();
+      for (int i = 1; i < n; ++i) {
+        folded = std::min(
+            folded,
+            w_.oracle->ProbeOnce(pt.ug, pt.peering, slow, pt.day).count());
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(measured),
+                std::bit_cast<std::uint64_t>(folded))
+          << "n=" << n << " day=" << pt.day;
+      // Both paths consumed exactly the same draws.
+      EXPECT_EQ(fast.UniformInt(0, std::numeric_limits<std::int64_t>::max()),
+                slow.UniformInt(0, std::numeric_limits<std::int64_t>::max()))
+          << "n=" << n << " day=" << pt.day;
+    }
+  }
+  // The degraded day really is degraded, so the fold above covered a
+  // regime-shifted truth.
+  EXPECT_GT(w_.oracle->TrueRttOnDay(degraded->ug, degraded->peering,
+                                    degraded->day)
+                .count(),
+            w_.oracle->TrueRtt(degraded->ug, degraded->peering).count());
+}
+
+TEST_F(OracleTest, MeasureMinRejectsNonPositiveCount) {
+  util::Rng rng{5};
+  EXPECT_THROW((void)w_.oracle->MeasureMin(Ug0(), Sess0(), rng, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)w_.oracle->MeasureMin(Ug0(), Sess0(), rng, -3),
+               std::invalid_argument);
+}
+
+TEST_F(OracleTest, BuildMeasuredInstanceRejectsNonPositivePingCount) {
+  util::Rng rng{21};
+  for (const int bad : {0, -1}) {
+    EXPECT_THROW((void)core::BuildMeasuredInstance(
+                     w_.internet(), *w_.deployment, *w_.catalog, *w_.resolver,
+                     *w_.oracle, rng, bad),
+                 std::invalid_argument);
+  }
 }
 
 TEST_F(OracleTest, Day0MatchesBaseline) {
