@@ -11,7 +11,7 @@
 //                TM-Edge (8 tunnels, 4 PoPs), once under the classic
 //                latency-only policy and once under the capacity-aware
 //                policy, and demand >= 100k concurrently pinned flows.
-//   sharded    — replay the same trace through the shard-per-thread engine
+//   sharded    — replay the same trace through the sharded engine
 //                (DESIGN.md §13) at every shard count in {1, 2, 4, 8},
 //                print the scaling-efficiency table, and demand the runs'
 //                canonical stats be byte-identical across shard counts.

@@ -722,40 +722,27 @@ Orchestrator::IterationReport Orchestrator::RunLearningIteration(
   report.realized_ms = inst.total_weight == 0 ? 0 : acc / inst.total_weight;
   report.realized_positive_ms = w_pos == 0 ? 0 : acc_pos / w_pos;
 
-  // Per-iteration telemetry (Fig. 6c's learning curve, as metrics): the
-  // predicted-vs-realized gap is the model error learning drives down.
-  // These values come from the seeded simulation, so they are reproducible
-  // and land in the deterministic section of the metrics export.
-  //
-  // Registry growth is bounded: per-slot `iterN` gauges stop at
-  // max_iter_metric_series (historical names kept below the cap), while the
-  // rolling `last.*` family is overwritten every iteration — a run of any
-  // length leaves O(cap) gauges behind, never O(iterations).
-  const auto emit = [&](const std::string& prefix) {
-    obs::Metrics().GetGauge(prefix + "predicted_mean_ms")
-        .Set(report.predicted.mean_ms);
-    obs::Metrics().GetGauge(prefix + "realized_ms").Set(report.realized_ms);
-    obs::Metrics().GetGauge(prefix + "realized_positive_ms")
-        .Set(report.realized_positive_ms);
-    obs::Metrics().GetGauge(prefix + "prefixes_used")
-        .Set(static_cast<double>(report.prefixes_used));
-  };
-  const bool per_slot = iter < config_.max_iter_metric_series;
-  const std::string iter_prefix =
-      "orchestrator.learn.iter" + std::to_string(iter) + ".";
-  if (per_slot) emit(iter_prefix);
-  emit("orchestrator.learn.last.");
-  obs::Metrics().GetGauge("orchestrator.learn.last.iteration")
+  // The latest iteration's telemetry: the predicted-vs-realized gap is the
+  // model error learning drives down. These values come from the seeded
+  // simulation, so they are reproducible and land in the deterministic
+  // section of the metrics export. The gauges are overwritten every
+  // iteration; the per-iteration curve is in the returned reports and in
+  // LearningTimeline's `orchestrator.round.*` series.
+  auto& m = obs::Metrics();
+  m.GetGauge("orchestrator.learn.last.predicted_mean_ms")
+      .Set(report.predicted.mean_ms);
+  m.GetGauge("orchestrator.learn.last.realized_ms").Set(report.realized_ms);
+  m.GetGauge("orchestrator.learn.last.realized_positive_ms")
+      .Set(report.realized_positive_ms);
+  m.GetGauge("orchestrator.learn.last.prefixes_used")
+      .Set(static_cast<double>(report.prefixes_used));
+  m.GetGauge("orchestrator.learn.last.iteration")
       .Set(static_cast<double>(iter));
 
   if (config_.enable_learning) Absorb(report.config, observations);
 
-  // Pairwise preferences learned per round (cumulative after this absorb).
-  if (per_slot) {
-    obs::Metrics().GetGauge(iter_prefix + "preferences_total")
-        .Set(static_cast<double>(model_.PreferenceCount()));
-  }
-  obs::Metrics().GetGauge("orchestrator.learn.last.preferences_total")
+  // Pairwise preferences learned so far (cumulative after this absorb).
+  m.GetGauge("orchestrator.learn.last.preferences_total")
       .Set(static_cast<double>(model_.PreferenceCount()));
   if (out_observations != nullptr) *out_observations = std::move(observations);
   return report;

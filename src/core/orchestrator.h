@@ -127,13 +127,6 @@ struct OrchestratorConfig {
   bool enable_reuse = true;     // false: one peering per prefix (no reuse)
   bool enable_learning = true;  // false: never update the routing model
 
-  // Cap on per-iteration `orchestrator.learn.iterN.*` gauge families in the
-  // global metrics registry. Iterations < the cap keep the historical
-  // per-slot names; beyond it only the rolling `orchestrator.learn.last.*`
-  // gauges (emitted every iteration) advance, so an arbitrarily long
-  // learning run adds O(1) registry entries instead of O(iterations).
-  std::size_t max_iter_metric_series = 64;
-
   [[nodiscard]] ExpectationParams Expectation() const {
     return ExpectationParams{.d_reuse_km = d_reuse_km,
                              .inflation_decay_km = inflation_decay_km};

@@ -110,7 +110,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioSpec& spec,
       }
       return static_cast<double>(up);
     });
-    spec.timeseries->StartSampling(sim, spec.run_for_s);
+    netsim::StartSampling(sim, *spec.timeseries, spec.run_for_s);
   }
 
   // Flight-recorder journal: each plan event's onset and clear, stamped at

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/timeseries.h"
+
 namespace painter::netsim {
 
 void Simulator::Schedule(double delay_s, Handler fn) {
@@ -31,6 +33,27 @@ void Simulator::RunUntilUs(SimTime until_us) {
     ev.fn();
   }
   if (now_us_ < until_us) now_us_ = until_us;
+}
+
+namespace {
+
+void ScheduleSample(Simulator& sim, obs::TimeseriesRegistry& registry,
+                    std::uint64_t index, SimTime horizon_us) {
+  sim.ScheduleAtUs(registry.SlotUs(index),
+                   [&sim, &registry, index, horizon_us]() {
+                     registry.SampleSlot(index, sim.NowUs());
+                     if (registry.SlotUs(index + 1) <= horizon_us) {
+                       ScheduleSample(sim, registry, index + 1, horizon_us);
+                     }
+                   });
+}
+
+}  // namespace
+
+void StartSampling(Simulator& sim, obs::TimeseriesRegistry& registry,
+                   double horizon_s) {
+  registry.AnchorGrid(sim.NowUs());
+  ScheduleSample(sim, registry, 0, sim.NowUs() + UsFromSeconds(horizon_s));
 }
 
 }  // namespace painter::netsim

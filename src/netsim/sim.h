@@ -25,6 +25,10 @@
 #include <utility>
 #include <vector>
 
+namespace painter::obs {
+class TimeseriesRegistry;
+}  // namespace painter::obs
+
 namespace painter::netsim {
 
 // Absolute simulation time in integer microseconds since t = 0.
@@ -143,5 +147,13 @@ class Simulator {
   // copy of the handler's captured state on the hottest loop in the repo.
   std::vector<Event> heap_;
 };
+
+// Schedules `registry`'s sampling chain on `sim`: anchors its grid at
+// sim.NowUs() and takes sample k at exactly registry.SlotUs(k) for every k
+// with k * period <= horizon_s (quantized). Each event schedules its
+// successor from k, never by accumulating a delay. Call at most once per
+// registry.
+void StartSampling(Simulator& sim, obs::TimeseriesRegistry& registry,
+                   double horizon_s);
 
 }  // namespace painter::netsim

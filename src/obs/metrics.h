@@ -15,8 +15,10 @@
 //
 // Metric naming convention (README "Observability"): lowercase
 // dot-separated paths, `<subsystem>.<object>.<event-or-quantity>`, with a
-// unit suffix where the value has one (`_ms`, `_us`, `_km`). Per-iteration
-// series append `.iterN`: e.g. `orchestrator.learn.iter2.realized_ms`.
+// unit suffix where the value has one (`_ms`, `_us`, `_km`): e.g.
+// `orchestrator.learn.last.realized_ms`. Names are never indexed by time or
+// iteration — a per-iteration or per-round curve is a series in the
+// timeseries registry (timeseries.h), not a family of gauge names.
 //
 // Handles returned by the registry are stable for the registry's lifetime;
 // call sites cache them in function-local statics:

@@ -9,8 +9,22 @@
 
 namespace painter::obs {
 
+namespace {
+
+// Seconds -> µs rounded to nearest, exactly as netsim::UsFromSeconds rounds
+// the simulator grid the samples land on.
+[[nodiscard]] std::uint64_t PeriodUs(double period_s) {
+  if (!(period_s >= 0.0) || !std::isfinite(period_s)) {
+    throw std::invalid_argument{"TimeseriesRegistry: negative or non-finite "
+                                "period"};
+  }
+  return static_cast<std::uint64_t>(std::llround(period_s * 1e6));
+}
+
+}  // namespace
+
 TimeseriesRegistry::TimeseriesRegistry(TimeseriesConfig config)
-    : config_(config), period_us_(netsim::UsFromSeconds(config.period_s)) {
+    : config_(config), period_us_(PeriodUs(config.period_s)) {
   if (period_us_ == 0) {
     throw std::invalid_argument{"TimeseriesRegistry: period below 1 µs"};
   }
@@ -35,7 +49,7 @@ void TimeseriesRegistry::RegisterSampler(std::string name,
   series_.push_back(std::move(s));
 }
 
-void TimeseriesRegistry::Push(Series& s, netsim::SimTime t_us, double value) {
+void TimeseriesRegistry::Push(Series& s, std::uint64_t t_us, double value) {
   if (!s.values.empty() && t_us < s.last_t_us) {
     throw std::invalid_argument{"timeseries " + s.name +
                                 ": non-monotonic timestamp"};
@@ -65,7 +79,7 @@ void TimeseriesRegistry::Push(Series& s, netsim::SimTime t_us, double value) {
   s.last_t_us = t_us;
 }
 
-void TimeseriesRegistry::Append(std::string_view name, netsim::SimTime t_us,
+void TimeseriesRegistry::Append(std::string_view name, std::uint64_t t_us,
                                 double value) {
   for (Series& s : series_) {
     if (s.name == name) {
@@ -84,35 +98,26 @@ void TimeseriesRegistry::Append(std::string_view name, netsim::SimTime t_us,
   Push(series_.back(), t_us, value);
 }
 
-void TimeseriesRegistry::SampleNow(netsim::SimTime t_us) {
+void TimeseriesRegistry::SampleNow(std::uint64_t t_us) {
   for (Series& s : series_) {
     if (s.sampled) Push(s, t_us, s.fn());
   }
   ++samples_taken_;
 }
 
-void TimeseriesRegistry::ScheduleSample(netsim::Simulator& sim,
-                                        std::uint64_t index) {
-  const netsim::SimTime slot = anchor_us_ + index * period_us_;
-  sim.ScheduleAtUs(slot, [this, &sim, index, slot]() {
-    const netsim::SimTime now = sim.NowUs();
-    max_skew_us_ = std::max(max_skew_us_, now > slot ? now - slot : slot - now);
-    SampleNow(now);
-    if (anchor_us_ + (index + 1) * period_us_ <= horizon_us_) {
-      ScheduleSample(sim, index + 1);
-    }
-  });
+void TimeseriesRegistry::AnchorGrid(std::uint64_t anchor_us) {
+  if (anchored_) {
+    throw std::logic_error{"TimeseriesRegistry: sampling grid anchored twice"};
+  }
+  anchored_ = true;
+  anchor_us_ = anchor_us;
 }
 
-void TimeseriesRegistry::StartSampling(netsim::Simulator& sim,
-                                       double horizon_s) {
-  if (sampling_started_) {
-    throw std::logic_error{"TimeseriesRegistry: StartSampling called twice"};
-  }
-  sampling_started_ = true;
-  anchor_us_ = sim.NowUs();
-  horizon_us_ = anchor_us_ + netsim::UsFromSeconds(horizon_s);
-  ScheduleSample(sim, 0);
+void TimeseriesRegistry::SampleSlot(std::uint64_t index, std::uint64_t now_us) {
+  const std::uint64_t slot = SlotUs(index);
+  max_skew_us_ =
+      std::max(max_skew_us_, now_us > slot ? now_us - slot : slot - now_us);
+  SampleNow(now_us);
 }
 
 const TimeseriesRegistry::Series& TimeseriesRegistry::Find(
@@ -134,10 +139,10 @@ TimeseriesRegistry::SeriesView TimeseriesRegistry::View(
   if (s.sampled) {
     // Implicit grid times: the oldest retained sample is sample `dropped`.
     for (std::size_t k = 0; k < s.values.size(); ++k) {
-      v.t_us.push_back(anchor_us_ + (s.dropped + k) * period_us_);
+      v.t_us.push_back(SlotUs(s.dropped + k));
     }
   } else {
-    netsim::SimTime t = s.base_t_us;
+    std::uint64_t t = s.base_t_us;
     for (std::size_t k = 0; k < s.t_delta_us.size(); ++k) {
       t += s.t_delta_us[k];
       v.t_us.push_back(t);

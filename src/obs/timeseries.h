@@ -9,11 +9,12 @@
 // forms:
 //
 //  - Sampled series: a callback registered with RegisterSampler is read at
-//    every grid point. StartSampling schedules sample k at exactly
-//    anchor + k * period_us on the shared netsim::Simulator's absolute
-//    integer-µs grid (re-derived from k, never accumulated — the same rule
-//    as every other grid scheduler, DESIGN.md §11), so sample timestamps are
-//    implicit: only the values are stored.
+//    every grid point. netsim::StartSampling (netsim/sim.h) schedules
+//    sample k at exactly SlotUs(k) = anchor + k * period_us on the shared
+//    simulator's absolute integer-µs grid (re-derived from k, never
+//    accumulated — the same rule as every other grid scheduler, DESIGN.md
+//    §11), so sample timestamps are implicit: only the values are stored.
+//    This layer knows nothing of the simulator: times are plain integer µs.
 //  - Event series: point-in-time appends (a detection latency when a fault
 //    is detected, a round's realized benefit when it completes). Timestamps
 //    are stored delta-encoded in the ring: the series keeps the absolute
@@ -44,8 +45,6 @@
 #include <string_view>
 #include <vector>
 
-#include "netsim/sim.h"
-
 namespace painter::obs {
 
 struct TimeseriesConfig {
@@ -69,15 +68,22 @@ class TimeseriesRegistry {
   // name must not collide with a sampled series). `t_us` must be
   // non-decreasing per series — event sources fire in DES order, so this
   // holds for free; a regression throws std::invalid_argument.
-  void Append(std::string_view name, netsim::SimTime t_us, double value);
+  void Append(std::string_view name, std::uint64_t t_us, double value);
 
-  // Schedules the sampling chain on `sim`: sample k at NowUs() + k * period
-  // for every k with k * period <= horizon_s (quantized). Call at most once.
-  void StartSampling(netsim::Simulator& sim, double horizon_s);
+  // Anchors the sampling grid: sample k belongs at SlotUs(k) = anchor_us +
+  // k * period. Call at most once (netsim::StartSampling does); throws
+  // std::logic_error on a second call.
+  void AnchorGrid(std::uint64_t anchor_us);
+  [[nodiscard]] std::uint64_t SlotUs(std::uint64_t index) const {
+    return anchor_us_ + index * period_us_;
+  }
+  // Takes grid sample `index` at `now_us`, recording how far `now_us` is
+  // from SlotUs(index) (MaxSampleSkewUs).
+  void SampleSlot(std::uint64_t index, std::uint64_t now_us);
 
   // Takes one sample of every registered sampler at `t_us` (tests and
-  // non-DES callers; StartSampling's events call this too).
-  void SampleNow(netsim::SimTime t_us);
+  // non-DES callers; SampleSlot calls this too).
+  void SampleNow(std::uint64_t t_us);
 
   [[nodiscard]] std::size_t SeriesCount() const { return series_.size(); }
   [[nodiscard]] std::uint64_t SamplesTaken() const { return samples_taken_; }
@@ -91,7 +97,7 @@ class TimeseriesRegistry {
     bool sampled = false;  // false: event series
     bool wall_clock = false;
     std::uint64_t dropped = 0;  // points evicted by the ring
-    std::vector<netsim::SimTime> t_us;
+    std::vector<std::uint64_t> t_us;
     std::vector<double> values;
   };
   [[nodiscard]] SeriesView View(std::string_view name) const;
@@ -112,20 +118,18 @@ class TimeseriesRegistry {
     // eviction is O(capacity) only after the ring fills).
     std::vector<double> values;
     std::vector<std::uint64_t> t_delta_us;  // event series only
-    netsim::SimTime base_t_us = 0;          // absolute time of values.front()
-    netsim::SimTime last_t_us = 0;
+    std::uint64_t base_t_us = 0;            // absolute time of values.front()
+    std::uint64_t last_t_us = 0;
     std::uint64_t dropped = 0;
   };
 
-  void Push(Series& s, netsim::SimTime t_us, double value);
-  void ScheduleSample(netsim::Simulator& sim, std::uint64_t index);
+  void Push(Series& s, std::uint64_t t_us, double value);
   [[nodiscard]] const Series& Find(std::string_view name) const;
 
   TimeseriesConfig config_;
-  netsim::SimTime period_us_ = 0;
-  netsim::SimTime anchor_us_ = 0;
-  netsim::SimTime horizon_us_ = 0;
-  bool sampling_started_ = false;
+  std::uint64_t period_us_ = 0;
+  std::uint64_t anchor_us_ = 0;
+  bool anchored_ = false;
   std::uint64_t samples_taken_ = 0;
   std::uint64_t max_skew_us_ = 0;
   std::vector<Series> series_;  // registration order; export sorts by name

@@ -247,7 +247,6 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   } else {
     workload::ShardedReplayConfig scfg;
     scfg.shards = config.shards;
-    scfg.threading = config.threading;
     scfg.engine = wcfg;
     replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
                    std::move(scfg));
@@ -263,7 +262,7 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   rounds.Start();
   if (config.timeseries != nullptr) {
     ttl.RegisterTimeseries(*config.timeseries);
-    config.timeseries->StartSampling(sim, horizon_s);
+    netsim::StartSampling(sim, *config.timeseries, horizon_s);
   }
   if (engine.has_value()) {
     sim.Run(horizon_s);

@@ -45,8 +45,6 @@ struct ChaosLoadConfig {
   // results are identical for every value >= 1 but NOT to the serial path
   // (per-tick instead of per-arrival policy decisions).
   std::size_t shards = 0;
-  netsim::ShardedSimulator::Threading threading =
-      netsim::ShardedSimulator::Threading::kAuto;
   // Optional des.shard<i>.* series (sharded path only); see
   // ShardedReplayConfig::shard_timeseries for the cross-shard-count caveat.
   obs::TimeseriesRegistry* shard_timeseries = nullptr;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <thread>
 
 #include "control/delta_bus.h"
 #include "obs/metrics.h"
@@ -39,23 +37,14 @@ LoadTracker::LoadTracker(std::vector<double> pop_capacity_bps)
       offered_(capacity_.size(), 0.0),
       active_(capacity_.size(), 0) {}
 
-void LoadTracker::NoteWrite() {
-  // Plain non-atomic write: concurrent mutation (or a concurrent read of
-  // the gauges while another thread mutates) is a race on this member that
-  // TSan flags even with asserts compiled out. See the header comment.
-  writer_guard_ = std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
-
 void LoadTracker::OnAssign(int pop, double bytes_per_s) {
   if (!InRange(pop, offered_.size())) return;
-  NoteWrite();
   offered_[static_cast<std::size_t>(pop)] += bytes_per_s;
   ++active_[static_cast<std::size_t>(pop)];
 }
 
 void LoadTracker::OnRelease(int pop, double bytes_per_s) {
   if (!InRange(pop, offered_.size())) return;
-  NoteWrite();
   const auto p = static_cast<std::size_t>(pop);
   if (active_[p] > 0) --active_[p];
   offered_[p] =
@@ -104,7 +93,6 @@ void LoadTracker::ExportGauges(const std::string& prefix) const {
 void LoadTracker::PublishCapacityDeltas(control::DeltaBus& bus,
                                         std::uint64_t t_us, double band_frac) {
   if (band_frac <= 0.0) return;
-  NoteWrite();  // band state is single-writer like the load accounting
   if (capacity_band_.size() != capacity_.size()) {
     capacity_band_.assign(capacity_.size(), -1);
   }

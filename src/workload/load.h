@@ -70,16 +70,6 @@ class LoadTracker {
   // Last published capacity band per PoP (-1 = not yet baselined), lazily
   // sized by PublishCapacityDeltas.
   std::vector<int> capacity_band_;
-  // Single-writer guard. The tracker is deliberately not thread-safe: under
-  // the sharded timeline every mutation happens on the coordinator thread
-  // inside the epoch-barrier merge, and shard threads only ever read frozen
-  // snapshots. Each mutation does a plain (non-atomic) write here, so a
-  // mutation racing a cross-thread mutation or read is a data race TSan
-  // reports even in NDEBUG builds — the annotation survives asserts being
-  // compiled out. tests run under tools/tsan_check.sh's `shard` stage.
-  std::size_t writer_guard_ = 0;
-
-  void NoteWrite();
 };
 
 // What a policy sees about one tunnel at decision time. `usable` mirrors the

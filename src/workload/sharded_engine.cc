@@ -38,7 +38,6 @@ netsim::ShardedSimulator::Config DesConfigFor(
       .shards = config.shards,
       // Epoch = admission tick (see the header's epoch-length rationale).
       .epoch_us = netsim::UsFromSeconds(config.engine.tick_s),
-      .threading = config.threading,
       .timeseries = config.shard_timeseries};
 }
 

@@ -34,7 +34,7 @@
 // one policy Pick per tick instead of per arrival, no Find before the
 // expiry Erase (bucket entries carry pop and rate), and per-epoch instead
 // of per-flow metrics increments — so `--shards 1` is a faster serial
-// engine, and thread-per-shard scales it on multi-core hosts.
+// engine.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,6 @@ struct ShardedReplayConfig {
   // Power of two in [1, 256]. 1 = the serial semantics of this engine (NOT
   // byte-identical to WorkloadEngine: see the snapshot-decision note above).
   std::size_t shards = 1;
-  netsim::ShardedSimulator::Threading threading =
-      netsim::ShardedSimulator::Threading::kAuto;
   // Tick/duration/policy-hook configuration, shared with the serial engine.
   // `engine.timeseries` registers the same occupancy/utilization samplers
   // the serial engine registers (shard-count-invariant values).
@@ -169,7 +167,7 @@ class ShardedWorkloadReplay {
   bool started_ = false;
 
   // Coordinator -> shard state, written in Prepare, frozen during the
-  // worker phase (the barrier publishes it).
+  // shard phase.
   std::vector<TunnelView> epoch_views_;
   int epoch_pick_ = -1;
   std::int32_t epoch_pop_ = -1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -15,6 +16,7 @@ namespace painter::workload {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'W', 'L', 'T', '1', 0, 0, 0};
+constexpr std::uint64_t kEventBytes = 24;  // start_us, ug, seq, bytes
 constexpr double kDayS = 86400.0;
 
 void AppendU32(std::string& out, std::uint32_t v) {
@@ -41,6 +43,18 @@ std::uint64_t ReadU64(std::istream& is) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
   return v;
+}
+
+// Bytes between the read position and the end of `is`; nullopt when the
+// stream cannot seek (a pipe).
+std::optional<std::uint64_t> BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || !is) return std::nullopt;
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
 }
 
 // Arrivals for one UG: thinning over the diurnal envelope. The per-UG Rng is
@@ -163,7 +177,7 @@ std::vector<UgProfile> SyntheticUgProfiles(std::size_t count,
 
 std::string SerializeTrace(const Trace& trace) {
   std::string out;
-  out.reserve(sizeof(kMagic) + 24 + trace.events.size() * 24);
+  out.reserve(sizeof(kMagic) + 24 + trace.events.size() * kEventBytes);
   out.append(kMagic, sizeof(kMagic));
   AppendU64(out, trace.seed);
   AppendU64(out, trace.duration_us);
@@ -192,7 +206,16 @@ Trace LoadTrace(std::istream& is) {
   trace.seed = ReadU64(is);
   trace.duration_us = ReadU64(is);
   const std::uint64_t count = ReadU64(is);
-  trace.events.reserve(count);
+  // The header's count is untrusted: reserve only what the stream can hold,
+  // and reject a count it cannot. An unseekable stream reserves nothing; a
+  // short one still fails in ReadU64.
+  const std::optional<std::uint64_t> left = BytesLeft(is);
+  if (left.has_value()) {
+    if (count > *left / kEventBytes) {
+      throw std::runtime_error{"trace: event count exceeds the stream"};
+    }
+    trace.events.reserve(count);
+  }
   for (std::uint64_t i = 0; i < count; ++i) {
     FlowEvent e;
     e.start_us = ReadU64(is);

@@ -23,7 +23,7 @@ TEST(TimeseriesTest, SamplesOnExactIntegerGrid) {
   netsim::Simulator sim;
   double v = 0.0;
   reg.RegisterSampler("test.grid", [&v]() { return v += 1.0; });
-  reg.StartSampling(sim, 2.0);
+  netsim::StartSampling(sim, reg, 2.0);
   sim.Run(3.0);
 
   // 9 grid points: k = 0..8 at k * 250000 µs (horizon 2 s inclusive).
@@ -79,7 +79,7 @@ TEST(TimeseriesTest, ExportIsDeterministicAcrossIdenticalRuns) {
     reg.RegisterSampler("a.frac", []() { return 0.25; });
     reg.Append("m.events", 123456, 7.0);
     reg.Append("m.events", 654321, 9.5);
-    reg.StartSampling(sim, 5.0);
+    netsim::StartSampling(sim, reg, 5.0);
     sim.Run(6.0);
     return reg.ToJson();
   };

@@ -1,12 +1,12 @@
-// Property suite for the shard-per-thread timeline (DESIGN.md §13).
+// Property suite for the sharded timeline (DESIGN.md §13).
 //
 // The headline property: the sharded workload replay is a pure function of
 // (world, trace, config) — bit-identical canonical stats at every shard
-// count in {1, 2, 4, 8}, with threaded and inline execution, serially and
-// under chaos plans. Plus the epoch-barrier edge cases the determinism
-// argument leans on: an event landing exactly on a barrier belongs to the
-// epoch that ends there, and cross-shard load deltas merged at the barrier
-// land in canonical trace order.
+// count in {1, 2, 4, 8}, serially and under chaos plans. Plus the
+// epoch-barrier edge cases the determinism argument leans on: an event
+// landing exactly on a barrier belongs to the epoch that ends there, and
+// cross-shard load deltas merged at the barrier land in canonical trace
+// order.
 
 #include <algorithm>
 #include <cstdint>
@@ -34,7 +34,6 @@ namespace painter {
 namespace {
 
 using netsim::ShardedSimulator;
-using Threading = ShardedSimulator::Threading;
 
 // ---------------------------------------------------------------------------
 // ShardedSimulator: barrier protocol.
@@ -71,8 +70,7 @@ TEST(ShardedSimulatorTest, ShardOfTakesTopFingerprintBits) {
 // before prepare and shards run to the boundary before merge.
 TEST(ShardedSimulatorTest, EpochProtocolOrdering) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
 
   std::vector<std::string> log;
   control.ScheduleAtUs(50, [&] { log.push_back("control@50"); });
@@ -104,8 +102,7 @@ TEST(ShardedSimulatorTest, EpochProtocolOrdering) {
 // includes every control effect up to and including the boundary).
 TEST(ShardedSimulatorTest, EventExactlyOnBarrierRunsInThatEpoch) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
   std::uint64_t control_sees = ~0ull;  // prepare generation at control event
   std::uint64_t shard_sees = ~0ull;    // prepare generation at shard event
   std::uint64_t current = ~0ull;
@@ -121,8 +118,7 @@ TEST(ShardedSimulatorTest, EventExactlyOnBarrierRunsInThatEpoch) {
 // A Run() horizon mid-epoch pauses and resumes without losing the grid.
 TEST(ShardedSimulatorTest, ResumesAcrossPartialEpochs) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 1, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 1, .epoch_us = 100}};
   std::vector<netsim::SimTime> boundaries;
   const auto merge = [&](std::uint64_t, netsim::SimTime b) {
     boundaries.push_back(b);
@@ -139,34 +135,9 @@ TEST(ShardedSimulatorTest, ResumesAcrossPartialEpochs) {
   EXPECT_EQ(des.shard(0).NowUs(), 310u);
 }
 
-// Identical scripted work under threads and inline: same event order per
-// shard, same stats. The TSan stage runs this with real threads.
-TEST(ShardedSimulatorTest, ThreadsMatchInline) {
-  const auto run = [](Threading threading) {
-    netsim::Simulator control;
-    ShardedSimulator des{
-        control, {.shards = 4, .epoch_us = 50, .threading = threading}};
-    std::vector<std::vector<netsim::SimTime>> fired(4);
-    for (std::size_t s = 0; s < 4; ++s) {
-      for (netsim::SimTime t = 10 * (s + 1); t <= 400; t += 35) {
-        des.shard(s).ScheduleAtUs(t, [&fired, s, &des] {
-          fired[s].push_back(des.shard(s).NowUs());
-        });
-      }
-    }
-    des.Run(400, nullptr, nullptr);
-    return std::make_pair(fired, des.stats().epochs);
-  };
-  const auto inline_run = run(Threading::kInline);
-  const auto threaded_run = run(Threading::kThreads);
-  EXPECT_EQ(inline_run.first, threaded_run.first);
-  EXPECT_EQ(inline_run.second, threaded_run.second);
-}
-
 TEST(ShardedSimulatorTest, StatsMeasureSkewAndQueueDepth) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
   // Epoch 0: three events on shard 0, none on shard 1 -> skew 3. Shard 1
   // holds a far-future event, so its queue depth at the barrier is 1.
   for (netsim::SimTime t : {10, 20, 30}) {
@@ -239,13 +210,12 @@ workload::EngineConfig ReplayEngineConfig() {
 }
 
 std::string RunShardedReplay(std::uint64_t seed, const workload::Trace& trace,
-                             std::size_t shards, Threading threading,
+                             std::size_t shards,
                              workload::WorkloadEngine::Stats* stats = nullptr) {
   ReplayWorld w;
   BuildReplayWorld(w, seed);
   workload::ShardedReplayConfig cfg;
   cfg.shards = shards;
-  cfg.threading = threading;
   cfg.engine = ReplayEngineConfig();
   const workload::LoadAwarePolicy policy{0.85};  // must outlive the replay
   workload::ShardedWorkloadReplay replay{
@@ -266,34 +236,24 @@ TEST(ShardReplayProperty, BitIdenticalAcrossShardCounts) {
     ASSERT_GT(trace.events.size(), 100u);
     workload::WorkloadEngine::Stats base_stats;
     const std::string base =
-        RunShardedReplay(seed, trace, 1, Threading::kInline, &base_stats);
+        RunShardedReplay(seed, trace, 1, &base_stats);
     EXPECT_EQ(base_stats.arrivals, trace.events.size());
     EXPECT_GT(base_stats.started, 0u);
     EXPECT_EQ(base_stats.down_picks, 0u);
     EXPECT_EQ(base_stats.max_tick_skew_us, 0u);
     EXPECT_EQ(base_stats.completed, base_stats.started);
     for (const std::size_t shards : {2u, 4u, 8u}) {
-      EXPECT_EQ(RunShardedReplay(seed, trace, shards, Threading::kAuto), base)
+      EXPECT_EQ(RunShardedReplay(seed, trace, shards), base)
           << "seed " << seed << " shards " << shards;
     }
   }
 }
 
-TEST(ShardReplayProperty, ThreadsMatchInline) {
-  const std::uint64_t seed = 7;
-  const workload::Trace trace = SmallTrace(seed);
-  const std::string inline_stats =
-      RunShardedReplay(seed, trace, 4, Threading::kInline);
-  const std::string threaded_stats =
-      RunShardedReplay(seed, trace, 4, Threading::kThreads);
-  EXPECT_EQ(inline_stats, threaded_stats);
-}
-
 TEST(ShardReplayProperty, RerunIsByteIdentical) {
   const std::uint64_t seed = 19;
   const workload::Trace trace = SmallTrace(seed);
-  EXPECT_EQ(RunShardedReplay(seed, trace, 4, Threading::kThreads),
-            RunShardedReplay(seed, trace, 4, Threading::kThreads));
+  EXPECT_EQ(RunShardedReplay(seed, trace, 4),
+            RunShardedReplay(seed, trace, 4));
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +270,7 @@ workload::Trace HandTrace(std::vector<workload::FlowEvent> events,
 
 std::string RunHandTrace(const workload::Trace& trace, std::size_t shards,
                          workload::WorkloadEngine::Stats* stats) {
-  return RunShardedReplay(5, trace, shards, Threading::kInline, stats);
+  return RunShardedReplay(5, trace, shards, stats);
 }
 
 // An arrival exactly on a tick boundary (start_us == k * tick_us) is
@@ -389,7 +349,6 @@ TEST(ShardChaosProperty, InvariantsAndStatsIdenticalAcrossShardCounts) {
     for (const std::size_t shards : {2u, 4u}) {
       workload::ChaosLoadConfig scfg;
       scfg.shards = shards;
-      scfg.threading = Threading::kThreads;  // real threads under TSan
       const workload::ChaosLoadResult got =
           workload::RunChaosUnderLoad(seed, {}, scfg);
       EXPECT_TRUE(got.ok()) << "seed " << seed << " shards " << shards;

@@ -82,6 +82,20 @@ TEST(TraceProperty, SaveLoadRoundTripsBitForBit) {
 
   std::stringstream bad{"not a trace"};
   EXPECT_THROW((void)LoadTrace(bad), std::runtime_error);
+
+  // A header whose event count the stream cannot hold is rejected like any
+  // other bad file, not by reserve() (2^62 events overflow it, 2^33 ask for
+  // 192 GiB).
+  for (const std::uint64_t forged :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 33}) {
+    std::string header = SerializeTrace(Trace{});
+    ASSERT_EQ(header.size(), 32u);
+    for (int b = 0; b < 8; ++b) {
+      header[24 + b] = static_cast<char>(forged >> (8 * b));
+    }
+    std::stringstream forged_bad{header};
+    EXPECT_THROW((void)LoadTrace(forged_bad), std::runtime_error) << forged;
+  }
 }
 
 netsim::FlowKey RandomKey(util::Rng& rng, std::uint32_t space) {

@@ -20,10 +20,10 @@
 #   5. workload — the workload-engine tier (ctest -L workload) plus a smoke
 #                 run of bench/workload_throughput (tiny trace, full pipeline:
 #                 generate -> pin-lookup -> policy replay -> sharded sweep).
-#   6. shard    — the shard-per-thread DES tier (ctest -L shard: epoch-barrier
+#   6. shard    — the sharded DES tier (ctest -L shard: epoch-barrier
 #                 protocol ordering, serial-vs-sharded bit-identity across
-#                 shard counts, threads-vs-inline identity, chaos/timeline
-#                 identity under the sharded engine) plus a sharded smoke of
+#                 shard counts, chaos/timeline identity under the sharded
+#                 engine) plus a sharded smoke of
 #                 bench/unified_timeline (--shards 2, its own gates still
 #                 apply).
 #   7. timeline — the unified-timeline tier (ctest -L timeline: integer-µs
@@ -44,7 +44,8 @@
 #                 `control` label selection
 #                 (tools/asan_check.sh and tools/tsan_check.sh), which
 #                 includes the faultsim chaos batch at multiple thread counts
-#                 and the sharded-replay suites with forced worker threads.
+#                 and the sharded-replay suites (single-threaded; under the
+#                 sanitizers for memory errors and UB).
 #
 # Any stage failing aborts the pipeline with that stage's exit status.
 #

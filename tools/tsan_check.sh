@@ -9,11 +9,9 @@
 # control-plane suites (whose services drive the multi-threaded
 # orchestrator from DES callbacks) (minus `slow`) — this
 # includes the faultsim chaos batch that re-runs the same
-# seeds at 1/2/4 worker threads, and the sharded-replay property tests that
-# force Threading::kThreads so the barrier handoff (shard outboxes written
-# by worker threads, merged by the coordinator; the LoadTracker's
-# single-writer guard) is exercised under TSan even on one core. Any data
-# race fails the job.
+# seeds at 1/2/4 worker threads. The `shard` suites run on one thread (the
+# epoch executor spawns none) and stay in the selection with their label.
+# Any data race fails the job.
 #
 # Usage: tools/tsan_check.sh [build-dir] [label-regex]
 #        (defaults: build-tsan, 'sanitize|property|shard|actionspace|control')
