@@ -70,18 +70,15 @@ void BM_Expectation(benchmark::State& state) {
 }
 BENCHMARK(BM_Expectation);
 
-// Args: {stub count, num_threads, incremental_celf}. Compare rows at the
-// same stub count to read the serial-vs-parallel speedup of the CELF seeding
-// scan (thread count 1 forces the serial path) and the incremental-vs-naive
-// speedup of the CELF engine (last arg 0 disables the cross-round marginal
-// cache and the aggregate fast path). Results are bit-identical across every
-// row at the same stub count — see the golden-schedule and property tests.
+// Args: {stub count, num_threads}. Compare rows at the same stub count to
+// read the serial-vs-parallel speedup of the CELF seeding scan (thread count
+// 1 forces the serial path). Results are bit-identical across every row at
+// the same stub count — see the golden-schedule and property tests.
 void BM_OrchestratorPerPrefix(benchmark::State& state) {
   const auto& inst = SharedInstance(static_cast<std::size_t>(state.range(0)));
   core::OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
   cfg.num_threads = static_cast<std::size_t>(state.range(1));
-  cfg.incremental_celf = state.range(2) != 0;
   for (auto _ : state) {
     core::Orchestrator orch{inst, cfg};
     benchmark::DoNotOptimize(orch.ComputeConfig());
@@ -89,21 +86,18 @@ void BM_OrchestratorPerPrefix(benchmark::State& state) {
   state.counters["ugs"] = static_cast<double>(inst.UgCount());
   state.counters["sessions"] = static_cast<double>(inst.peering_count);
   state.counters["threads"] = static_cast<double>(cfg.num_threads);
-  state.counters["incremental"] = cfg.incremental_celf ? 1.0 : 0.0;
   state.counters["s_per_prefix"] = benchmark::Counter(
       8.0, benchmark::Counter::kIsIterationInvariantRate |
                benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_OrchestratorPerPrefix)
-    ->Args({300, 1, 1})
-    ->Args({600, 1, 0})
-    ->Args({600, 1, 1})
-    ->Args({600, 2, 1})
-    ->Args({600, 8, 1})
-    ->Args({1200, 1, 0})
-    ->Args({1200, 1, 1})
-    ->Args({1200, 2, 1})
-    ->Args({1200, 8, 1})
+    ->Args({300, 1})
+    ->Args({600, 1})
+    ->Args({600, 2})
+    ->Args({600, 8})
+    ->Args({1200, 1})
+    ->Args({1200, 2})
+    ->Args({1200, 8})
     ->Unit(benchmark::kMillisecond);
 
 // Arg: num_threads for the per-UG prediction loop (1 = serial baseline).
@@ -128,11 +122,12 @@ BENCHMARK(BM_PredictBenefit)->Arg(1)->Arg(2)->Arg(8)
 // written as a painter.bench.v1 report (BENCH_micro_orchestrator.json).
 // Unlike the google-benchmark numbers above (human-readable, statistical),
 // this is the machine-readable artifact tools/perf_check.sh diffs across
-// commits via tools/bench_compare.py. Each phase records the best of three
-// passes to damp scheduler noise.
+// commits via tools/bench_compare.py. Each phase records the best of
+// kPasses passes to damp scheduler noise.
 void WriteRunReport() {
   constexpr std::size_t kStubs = 1200;
   constexpr std::size_t kBudget = 8;
+  constexpr int kPasses = 9;
   // At least 2 so the parallel path (and the pool's queue-wait telemetry) is
   // exercised even on single-core machines; on real hardware, all cores.
   const std::size_t threads =
@@ -150,14 +145,12 @@ void WriteRunReport() {
     inst = &SharedInstance(kStubs);
   }
 
-  auto time_compute = [&](std::size_t num_threads, bool incremental,
-                          const char* phase_name) {
+  auto time_compute = [&](std::size_t num_threads, const char* phase_name) {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
     cfg.num_threads = num_threads;
-    cfg.incremental_celf = incremental;
     double best_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kPasses; ++rep) {
       core::Orchestrator orch{*inst, cfg};
       const auto start = std::chrono::steady_clock::now();
       const auto config = orch.ComputeConfig();
@@ -169,12 +162,8 @@ void WriteRunReport() {
     report.AddPhaseMs(phase_name, best_ms);
     return best_ms;
   };
-  const double serial_ms = time_compute(1, true, "compute_serial");
-  const double parallel_ms = time_compute(threads, true, "compute_parallel");
-  const double naive_serial_ms =
-      time_compute(1, false, "compute_naive_serial");
-  const double naive_parallel_ms =
-      time_compute(threads, false, "compute_naive_parallel");
+  const double serial_ms = time_compute(1, "compute_serial");
+  const double parallel_ms = time_compute(threads, "compute_parallel");
 
   auto time_predict = [&](std::size_t num_threads, const char* phase_name) {
     core::OrchestratorConfig cfg;
@@ -183,7 +172,7 @@ void WriteRunReport() {
     const auto config = orch.ComputeConfig();
     const core::RoutingModel model{inst->UgCount()};
     double best_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kPasses; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       const auto pred =
           core::PredictBenefit(*inst, model, config, {}, num_threads);
@@ -202,13 +191,6 @@ void WriteRunReport() {
                   serial_ms / 1000.0 / static_cast<double>(kBudget));
   if (parallel_ms > 0.0) {
     report.AddValue("compute_speedup", serial_ms / parallel_ms);
-  }
-  if (serial_ms > 0.0) {
-    report.AddValue("incremental_speedup_serial", naive_serial_ms / serial_ms);
-  }
-  if (parallel_ms > 0.0) {
-    report.AddValue("incremental_speedup_parallel",
-                    naive_parallel_ms / parallel_ms);
   }
   if (predict_parallel_ms > 0.0) {
     report.AddValue("predict_speedup", predict_serial_ms / predict_parallel_ms);

@@ -122,13 +122,7 @@ bool ControlPlaneService::TranslateBatch(const std::vector<Delta>& batch) {
         if (orchestrator_->SetPeeringAvailable(util::PeeringId{d.id}, !down)) {
           ++stats_.invalidated_peerings;
           m.inval_peering.Add();
-          // A lost session is urgent only if some UG could actually ingress
-          // through it — the catchment scopes the alarm.
-          if (down && (config_.catchment == nullptr ||
-                       config_.catchment->CatchmentSize(util::PeeringId{
-                           d.id}) > 0)) {
-            mark_urgent(d);
-          }
+          if (down) mark_urgent(d);
         }
         break;
       }

@@ -21,7 +21,7 @@
 //
 // The service never recomputes from scratch on its own: rounds ride the
 // orchestrator's cross-call seed cache, so a quiet world costs almost
-// nothing and a churned world re-evaluates only the dirtied catchments. The
+// nothing and a churned world re-evaluates only the dirtied peerings. The
 // `seed_cache_audit` orchestrator flag independently asserts every
 // incremental round is byte-identical to a full recompute.
 #pragma once
@@ -36,7 +36,6 @@
 
 #include "control/config_diff.h"
 #include "control/delta_bus.h"
-#include "core/catchment.h"
 #include "core/learning_timeline.h"
 #include "core/orchestrator.h"
 #include "netsim/sim.h"
@@ -61,8 +60,8 @@ struct ControlPlaneConfig {
   std::size_t max_rounds_per_episode = 2;
 
   // Trigger damping. An episode starts when the batch carried an URGENT
-  // delta (session/topology loss touching a non-empty catchment, or an
-  // overloaded PoP) — urgency bypasses the cooldown — or when at least
+  // delta (a session going down, a topology fault onset, or an overloaded
+  // PoP) — urgency bypasses the cooldown — or when at least
   // `min_dirty_ugs` UGs are dirty and `cooldown_s` has passed since the last
   // trigger. The bootstrap episode (nothing committed yet) always runs.
   double cooldown_s = 30.0;
@@ -79,9 +78,6 @@ struct ControlPlaneConfig {
   std::size_t max_commits_per_window = 4;
   double commit_window_s = 60.0;
 
-  // Optional: scopes session-loss urgency to sessions whose catchment is
-  // non-empty (a session no UG can ingress through cannot shift traffic).
-  const core::CatchmentPredictor* catchment = nullptr;
   // Optional: commits append `control.reaction.latency_ms` /
   // `control.reaction.flips` event series. Must outlive the service.
   obs::TimeseriesRegistry* timeseries = nullptr;

@@ -147,6 +147,14 @@ std::optional<AdvertisementConfig> ReadConfig(
                      " not in the deployment");
         return std::nullopt;
       }
+      // Without a deployment, still refuse ids a PeeringId cannot hold: a
+      // narrowing cast would alias them onto valid sessions (or onto the
+      // invalid-id sentinel).
+      if (raw >= util::PeeringId::kInvalidValue) {
+        SetError(error, line_no,
+                 "session id " + std::to_string(raw) + " out of range");
+        return std::nullopt;
+      }
       sessions.push_back(util::PeeringId{static_cast<std::uint32_t>(raw)});
       attrs.push_back(attr);
       any_attr = any_attr || !attr.IsDefault();

@@ -51,9 +51,8 @@ void LearningTimeline::RunRound() {
                                sim_->NowUs(), rep.predicted.estimated_ms);
     config_.timeseries->Append("orchestrator.round.realized_ms", sim_->NowUs(),
                                rep.realized_ms);
-    // Cumulative catchment-pruned seed evaluations after this round: the
-    // per-round delta (how much the dirty-UG pruning saved) is the series'
-    // slope, which the fig6c pruning phase plots.
+    // Cumulative pruned seed evaluations after this round: the per-round
+    // delta (how much cached-seed pruning saved) is the series' slope.
     config_.timeseries->Append(
         "orchestrator.round.pruned_seed_evals", sim_->NowUs(),
         static_cast<double>(

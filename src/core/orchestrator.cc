@@ -36,7 +36,7 @@ struct OrchestratorMetrics {
       obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
   obs::Counter& celf_commits =
       obs::Metrics().GetCounter("orchestrator.celf.commits");
-  // Catchment-predicted pruning (closed `celf.pruned.*` namespace, enforced
+  // Cached-seed pruning (closed `celf.pruned.*` namespace, enforced
   // by tools/metrics_lint.py): dirty-peering seed evaluations skipped
   // because the cached marginal already bounds the fresh one at ≤ 0, and
   // audit evaluations run on behalf of the catchment_audit hook.
@@ -96,13 +96,6 @@ bool Orchestrator::InvalidateUg(std::uint32_t ug) {
   return true;
 }
 
-bool Orchestrator::InvalidatePeering(util::PeeringId peering) {
-  if (peering.value() >= instance_->peering_count) return false;
-  if (peering_dirty_ext_[peering.value()]) return false;
-  peering_dirty_ext_[peering.value()] = 1;
-  return true;
-}
-
 void Orchestrator::InvalidateAll() {
   std::fill(ug_dirty_.begin(), ug_dirty_.end(), static_cast<std::uint8_t>(1));
   std::fill(peering_dirty_ext_.begin(), peering_dirty_ext_.end(),
@@ -124,9 +117,8 @@ bool Orchestrator::SetPeeringAvailable(util::PeeringId peering, bool up) {
 }
 
 AdvertisementConfig Orchestrator::ComputeConfig() const {
-  const bool cross = config_.cross_call_seed_cache && config_.incremental_celf;
-  AdvertisementConfig cc = ComputeConfigImpl(cross);
-  if (cross && config_.seed_cache_audit) {
+  AdvertisementConfig cc = ComputeConfigImpl(config_.cross_call_seed_cache);
+  if (config_.cross_call_seed_cache && config_.seed_cache_audit) {
     OrchestratorMetrics& metrics = OrchestratorMetrics::Get();
     metrics.seed_cache_audit_checks.Add();
     // Same model state, same availability mask, no cache: the reference
@@ -139,22 +131,12 @@ AdvertisementConfig Orchestrator::ComputeConfig() const {
   return cc;
 }
 
-AdvertisementConfig Orchestrator::ComputeConfigUncached() const {
-  return ComputeConfigImpl(false);
-}
-
 AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const {
   const obs::TraceSpan span{"orchestrator.ComputeConfig"};
   OrchestratorMetrics& metrics = OrchestratorMetrics::Get();
   const ProblemInstance& inst = *instance_;
   const ExpectationParams params = config_.Expectation();
   const std::size_t n_ug = inst.UgCount();
-  const bool incremental = config_.incremental_celf;
-  // Pruning rides the incremental engine's dirty/cached machinery; the naive
-  // path re-evaluates everything by definition.
-  const bool pruning = config_.catchment_pruning && incremental;
-  // Cross-call seed reuse likewise rides the incremental machinery.
-  const bool cross = use_cross_cache && incremental;
 
   // Variant table: the advertisement attributes Algorithm 1 may pick per
   // (peering, prefix). Variant 0 is always the plain announcement, so the
@@ -236,8 +218,8 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   std::vector<double> seed_delta_nx(
       aspace.enable_no_export ? inst.peering_count : 0, 0.0);
   std::vector<std::uint8_t> seed_dirty(inst.peering_count, 1);
-  // Catchment-pruning state: a peering's seed marginal is a sum of
-  // w_u * max(0, base_best[u] - eff_rtt) terms over its catchment, each
+  // Pruning state: a peering's seed marginal is a sum of
+  // w_u * max(0, base_best[u] - eff_rtt) terms over its UGs, each
   // non-increasing as base_best decreases across prefix rounds (term-wise
   // monotone under FP rounding too: min/round-to-nearest/non-negative
   // multiply are all monotone, and both sums run in the same flat-index
@@ -255,7 +237,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // approximation. Dirty peerings get seed_evaluated = 0: their cached value
   // reflects the OLD model and is not a valid pruning upper bound for the
   // new one, so round 0 must evaluate them from scratch.
-  if (cross && seed_cache_primed_) {
+  if (use_cross_cache && seed_cache_primed_) {
     std::uint64_t cross_hits = 0;
     std::uint64_t cross_invalidations = 0;
     std::fill(seed_dirty.begin(), seed_dirty.end(),
@@ -293,30 +275,28 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
                            double rtt) {
     const std::uint32_t count = cand_count[u];
-    if (incremental) {
-      if (count == 0) return rtt;
-      if (!model_.HasPreferences(u)) {
-        const double min_km = std::min(cand_min_km[u], opt->distance_km);
-        const double max_km = std::max(cand_max_km[u], opt->distance_km);
-        if (max_km - min_km <= params.d_reuse_km) {
-          // No exclusion can fire: the mean is over the full grown list.
-          return (cand_sum[u] + rtt) / static_cast<double>(count + 1);
-        }
-        if (opt->distance_km - cand_min_km[u] > params.d_reuse_km) {
-          // The new option is excluded by D_reuse itself and (being farther
-          // than the current min) cannot shift the min, so the surviving set
-          // is exactly that of the current list — whose expectation cur_e[u]
-          // already is.
-          return cur_e[u];
-        }
-        if (cand_min_km[u] - opt->distance_km > params.d_reuse_km) {
-          // The new option undercuts every current candidate by more than
-          // D_reuse: they are all excluded and it alone survives.
-          return rtt;
-        }
+    if (count == 0) return rtt;
+    if (!model_.HasPreferences(u)) {
+      const double min_km = std::min(cand_min_km[u], opt->distance_km);
+      const double max_km = std::max(cand_max_km[u], opt->distance_km);
+      if (max_km - min_km <= params.d_reuse_km) {
+        // No exclusion can fire: the mean is over the full grown list.
+        return (cand_sum[u] + rtt) / static_cast<double>(count + 1);
       }
-      metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
+      if (opt->distance_km - cand_min_km[u] > params.d_reuse_km) {
+        // The new option is excluded by D_reuse itself and (being farther
+        // than the current min) cannot shift the min, so the surviving set
+        // is exactly that of the current list — whose expectation cur_e[u]
+        // already is.
+        return cur_e[u];
+      }
+      if (cand_min_km[u] - opt->distance_km > params.d_reuse_km) {
+        // The new option undercuts every current candidate by more than
+        // D_reuse: they are all excluded and it alone survives.
+        return rtt;
+      }
     }
+    metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
     // Scratch reused across calls; thread_local so the concurrent seeding
     // scan below can evaluate marginals on pool workers without sharing.
     thread_local std::vector<const IngressOption*> trial;
@@ -420,24 +400,22 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       // shared state (base_best / cur_e / cands / the routing model), so the
       // scan is embarrassingly parallel; the heap is then built serially in
       // peering order, making the result bit-identical to the serial scan.
-      // With the incremental engine, only dirty peerings are re-evaluated —
-      // the rest reuse the cached marginal from the previous round, which a
-      // fresh evaluation would reproduce bit-for-bit.
-      if (incremental) {
-        std::uint64_t hits = 0;
-        std::uint64_t invalidations = 0;
-        for (std::size_t g = 0; g < inst.peering_count; ++g) {
-          if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-          if (!peering_up_[g]) continue;  // down: not a candidate at all
-          if (seed_dirty[g]) {
-            ++invalidations;
-          } else {
-            ++hits;
-          }
+      // Only dirty peerings are re-evaluated — the rest reuse the cached
+      // marginal from the previous round, which a fresh evaluation would
+      // reproduce bit-for-bit.
+      std::uint64_t hits = 0;
+      std::uint64_t invalidations = 0;
+      for (std::size_t g = 0; g < inst.peering_count; ++g) {
+        if (flat_.offset[g + 1] == flat_.offset[g]) continue;
+        if (!peering_up_[g]) continue;  // down: not a candidate at all
+        if (seed_dirty[g]) {
+          ++invalidations;
+        } else {
+          ++hits;
         }
-        metrics.celf_cache_hits.Add(hits);
-        metrics.celf_cache_invalidations.Add(invalidations);
       }
+      metrics.celf_cache_hits.Add(hits);
+      metrics.celf_cache_invalidations.Add(invalidations);
       util::ParallelFor(
           config_.num_threads, 0, inst.peering_count, /*grain=*/8,
           [&](std::size_t chunk_begin, std::size_t chunk_end) {
@@ -447,12 +425,12 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
               // advertised — in the cached AND the audit pass alike, so the
               // two see the same world.
               if (!peering_up_[g]) continue;
-              if (incremental && !seed_dirty[g]) continue;  // cache hit
+              if (!seed_dirty[g]) continue;  // cache hit
               const util::PeeringId gid{static_cast<std::uint32_t>(g)};
-              // Catchment-predicted pruning: the cached value upper-bounds
-              // the fresh one (see seed_evaluated above), so ≤ 0 means the
-              // peering's catchment holds no improvable UG — skip.
-              if (pruning && seed_evaluated[g] && seed_delta[g] <= 0.0) {
+              // Cached-seed pruning: the cached value upper-bounds the fresh
+              // one (see seed_evaluated above), so ≤ 0 means the peering's
+              // UGs hold no improvable term — skip.
+              if (seed_evaluated[g] && seed_delta[g] <= 0.0) {
                 metrics.celf_pruned_seed_evals.Add();
                 if (config_.catchment_audit) {
                   metrics.celf_pruned_audit_checks.Add();
@@ -462,7 +440,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
                 seed_delta[g] = marginal_of(gid, SessionAttr{});
               }
               if (aspace.enable_no_export) {
-                if (pruning && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
+                if (seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
                   metrics.celf_pruned_seed_evals.Add();
                   if (config_.catchment_audit) {
                     metrics.celf_pruned_audit_checks.Add();
@@ -478,7 +456,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
           });
       std::fill(seed_dirty.begin(), seed_dirty.end(),
                 static_cast<std::uint8_t>(0));
-      if (cross && p == 0) {
+      if (use_cross_cache && p == 0) {
         // Prime the cross-call cache with this call's round-0 seed marginals
         // (taken BEFORE later prefix rounds overwrite dirty entries against
         // a lowered base_best) and consume the external dirtiness — the

@@ -38,14 +38,6 @@ struct ActionSpaceConfig {
   std::uint8_t max_prepend = 0;  // sweep prepend levels 0..max_prepend (≤ 3)
   bool enable_lower_pref = false;   // bgpsim::Community::kLowerPref variant
   bool enable_no_export = false;    // bgpsim::Community::kNoExportUp variant
-
-  [[nodiscard]] bool Legacy() const {
-    return max_prepend == 0 && !enable_lower_pref && !enable_no_export;
-  }
-  [[nodiscard]] std::size_t VariantCount() const {
-    return 1u + max_prepend + (enable_lower_pref ? 1u : 0u) +
-           (enable_no_export ? 1u : 0u);
-  }
 };
 
 struct OrchestratorConfig {
@@ -71,29 +63,15 @@ struct OrchestratorConfig {
   // independently and reduce them serially in fixed index order.
   std::size_t num_threads = 0;
 
-  // Incremental CELF engine (DESIGN.md "Incremental CELF evaluation"):
-  // per-peering seed marginals are cached across prefix rounds and
-  // invalidated through the dirty-UG rule, and grown-by-one candidate lists
-  // are evaluated from per-UG running aggregates instead of re-walking the
-  // list. Bit-identical to the from-scratch engine at any thread count (the
-  // property and golden-schedule tests prove it); false forces the naive
-  // path for testing and benchmarking.
-  bool incremental_celf = true;
-
   // Advertisement variants ComputeConfig may pick (default: legacy binary).
   ActionSpaceConfig action_space;
 
-  // Catchment-predicted seed pruning (DESIGN.md §14): a dirty peering whose
-  // cached seed marginal is already ≤ 0 skips re-evaluation — base_best only
-  // decreases across prefix rounds, so the fresh marginal is bounded above
-  // by the cached one and could never enter the heap. Provably
-  // schedule-preserving (the golden test sweeps this flag); only active with
-  // incremental_celf. False forces every dirty peering to re-evaluate.
-  bool catchment_pruning = true;
-
-  // Test/audit hook: when set, every pruned seed evaluation ALSO runs the
-  // skipped from-scratch marginal and reports it here so tests can assert it
-  // is ≤ 0 (zero false negatives). Called concurrently from the seeding
+  // Test/audit hook for cached-seed pruning (DESIGN.md §14). A dirty peering
+  // whose cached seed marginal is already ≤ 0 skips re-evaluation: base_best
+  // only decreases across prefix rounds, so the fresh marginal is bounded
+  // above by the cached one and could never enter the heap. When set, every
+  // pruned seed evaluation ALSO runs the skipped marginal and reports it
+  // here so tests can assert it is ≤ 0. Called concurrently from the seeding
   // scan's worker threads — the hook must be thread-safe. The extra audit
   // evaluations count toward orchestrator.celf.evaluations.
   std::function<void(util::PeeringId, double fresh_marginal)> catchment_audit;
@@ -104,8 +82,7 @@ struct OrchestratorConfig {
   // it is byte-exact to reuse until one of those UGs' model entries changes
   // — which Absorb and the Invalidate*/SetPeeringAvailable API track as
   // external dirtiness. The always-on control plane runs with this enabled
-  // so a steady-state re-optimization round skips the full seeding scan;
-  // requires incremental_celf (silently off otherwise).
+  // so a steady-state re-optimization round skips the full seeding scan.
   bool cross_call_seed_cache = false;
 
   // Noise floor for measured-RTT model updates (RoutingModel::ObserveLatency
@@ -167,17 +144,14 @@ class Orchestrator {
   Orchestrator(const ProblemInstance& instance, OrchestratorConfig config);
 
   // One greedy pass (the body of Algorithm 1's learning iteration) under the
-  // current routing model. With cross_call_seed_cache, round-0 seed
-  // marginals of peerings untouched since the previous call are served from
-  // the cross-call cache (and the external dirtiness is consumed); with
-  // seed_cache_audit a from-scratch pass additionally verifies the result.
+  // current routing model: lazy CELF with seed marginals cached across
+  // prefix rounds (dirty-UG invalidation), running-aggregate expectations
+  // and cached-seed pruning (DESIGN.md §8, §14). With cross_call_seed_cache,
+  // round-0 seed marginals of peerings untouched since the previous call are
+  // served from the cross-call cache (and the external dirtiness is
+  // consumed); with seed_cache_audit a pass without that cache additionally
+  // verifies the result.
   [[nodiscard]] AdvertisementConfig ComputeConfig() const;
-
-  // The from-scratch pass ComputeConfig is audited against: ignores and does
-  // not touch the cross-call cache or the dirtiness bookkeeping (the
-  // availability mask from SetPeeringAvailable still applies). Exposed for
-  // tests and benchmarks.
-  [[nodiscard]] AdvertisementConfig ComputeConfigUncached() const;
 
   // --- External dirtiness API (the control plane's invalidation surface) ---
   //
@@ -187,8 +161,6 @@ class Orchestrator {
   // Marks one UG's model state suspect (its peerings re-derive their seed
   // marginals next call). Returns true when the UG was newly dirtied.
   bool InvalidateUg(std::uint32_t ug);
-  // Marks one peering suspect directly. Returns true when newly dirtied.
-  bool InvalidatePeering(util::PeeringId peering);
   // Drops the whole cross-call cache (topology changed under the model).
   void InvalidateAll();
   // Marks a peering session up/down. Down sessions are excluded from the
@@ -264,7 +236,9 @@ class Orchestrator {
  private:
   // The greedy pass. `use_cross_cache` selects whether primed cross-call
   // seed marginals are consumed (and the cache re-primed / dirt cleared);
-  // false is the reference from-scratch pass the audit compares against.
+  // false is the reference pass the audit compares against. It ignores and
+  // does not touch the cross-call cache or the dirtiness bookkeeping (the
+  // availability mask from SetPeeringAvailable still applies).
   [[nodiscard]] AdvertisementConfig ComputeConfigImpl(bool use_cross_cache) const;
 
   const ProblemInstance* instance_;

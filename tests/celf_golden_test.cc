@@ -1,19 +1,23 @@
 // Golden-schedule determinism test for the CELF engine.
 //
-// The schedules below were produced by the pre-incremental from-scratch
-// engine (every seeding scan re-evaluates every peering, every expectation
-// re-walks its candidate list) on the fixture worlds. The incremental engine
-// — cross-round seed-marginal caching with dirty-UG invalidation, running
-// per-UG aggregates, flat hot-path layouts — is required to reproduce them
-// byte-for-byte at any thread count, in both engine modes. A mismatch here
-// means the "bit-identical" contract of OrchestratorConfig::incremental_celf
-// broke, even if the result is still a valid greedy schedule.
+// The schedules below were produced by the from-scratch engine (every
+// seeding scan re-evaluates every peering, every expectation re-walks its
+// candidate list) on the fixture worlds; that engine now lives on as the
+// test oracle in tests/celf_reference.h. The orchestrator's engine —
+// cross-round seed-marginal caching with dirty-UG invalidation, running
+// per-UG aggregates, cached-seed pruning, flat hot-path layouts — must
+// reproduce them at any thread count, and must equal the oracle byte for
+// byte in the widened action space and under a learned model too. A
+// mismatch here means the engine's caches changed the greedy's result, even
+// if that result is still a valid greedy schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/orchestrator.h"
+#include "core/sim_environment.h"
+#include "tests/celf_reference.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -21,23 +25,7 @@ namespace {
 
 using Schedule = std::vector<std::vector<std::uint32_t>>;
 
-Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
-                         std::size_t threads, bool incremental, bool pruning,
-                         bool explicit_legacy_space) {
-  OrchestratorConfig cfg;
-  cfg.prefix_budget = budget;
-  cfg.num_threads = threads;
-  cfg.incremental_celf = incremental;
-  cfg.catchment_pruning = pruning;
-  if (explicit_legacy_space) {
-    // A spelled-out budget-only action space must take the exact legacy
-    // single-variant path (ActionSpaceConfig::Legacy() == true).
-    cfg.action_space = ActionSpaceConfig{.max_prepend = 0,
-                                         .enable_lower_pref = false,
-                                         .enable_no_export = false};
-  }
-  const Orchestrator orch{inst, cfg};
-  const auto config = orch.ComputeConfig();
+Schedule ToSchedule(const AdvertisementConfig& config) {
   EXPECT_TRUE(config.AllAttrsDefault());
   Schedule out;
   for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
@@ -47,27 +35,39 @@ Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
   return out;
 }
 
-void ExpectGolden(const ProblemInstance& inst, std::size_t budget,
-                  const Schedule& golden) {
-  // Catchment pruning (and an explicitly spelled-out legacy action space)
-  // must be schedule-preserving: every combination reproduces the golden
-  // pick sequence byte for byte.
+constexpr ActionSpaceConfig kWideSpace{
+    .max_prepend = 2, .enable_lower_pref = true, .enable_no_export = true};
+
+void ExpectGolden(const test::World& w, const ProblemInstance& inst,
+                  std::size_t budget, const Schedule& golden) {
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = budget;
+  const RoutingModel fresh{inst.UgCount()};
+  // The oracle reproduces the pinned schedule; the engine equals the oracle.
+  EXPECT_EQ(ToSchedule(test::ReferenceComputeConfig(inst, fresh, cfg)), golden)
+      << "oracle";
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (const bool incremental : {true, false}) {
-      for (const bool pruning : {true, false}) {
-        const Schedule got = ComputeSchedule(inst, budget, threads,
-                                             incremental, pruning,
-                                             /*explicit_legacy_space=*/false);
-        EXPECT_EQ(got, golden) << "threads=" << threads
-                               << " incremental=" << incremental
-                               << " pruning=" << pruning;
-      }
-    }
+    cfg.num_threads = threads;
+    const Orchestrator orch{inst, cfg};
+    EXPECT_EQ(ToSchedule(orch.ComputeConfig()), golden)
+        << "threads=" << threads;
   }
-  const Schedule explicit_space =
-      ComputeSchedule(inst, budget, /*threads=*/1, /*incremental=*/true,
-                      /*pruning=*/true, /*explicit_legacy_space=*/true);
-  EXPECT_EQ(explicit_space, golden) << "explicit legacy action space";
+  OrchestratorConfig wide = cfg;
+  wide.action_space = kWideSpace;
+  test::ExpectEngineMatchesReference(inst, fresh, wide, "wide, fresh model");
+
+  // A learned model: preferences and measured RTTs make the engine's
+  // running-aggregate fast path fall back to the from-scratch walk.
+  OrchestratorConfig learn_cfg = cfg;
+  learn_cfg.max_learning_iterations = 2;
+  Orchestrator learner{inst, learn_cfg};
+  SimEnvironment env{*w.resolver, *w.oracle, util::Rng{budget + 5}};
+  (void)learner.Learn(env);
+  ASSERT_GT(learner.model().PreferenceCount(), 0u);
+  test::ExpectEngineMatchesReference(inst, learner.model(), cfg,
+                                     "legacy, learned model");
+  test::ExpectEngineMatchesReference(inst, learner.model(), wide,
+                                     "wide, learned model");
 }
 
 TEST(CelfGoldenSchedule, DefaultWorldBudget8) {
@@ -84,7 +84,7 @@ TEST(CelfGoldenSchedule, DefaultWorldBudget8) {
       {1, 4, 6, 8, 56, 115},
       {17, 19, 32, 66, 99},
   };
-  ExpectGolden(inst, 8, golden);
+  ExpectGolden(w, inst, 8, golden);
 }
 
 struct SeededGolden {
@@ -98,7 +98,7 @@ TEST_P(CelfGoldenSeeds, Budget5) {
   const auto& param = GetParam();
   const test::World& w = test::SharedWorld(param.seed, 130, 8);
   const auto inst = test::MakeInstance(w, param.seed + 77);
-  ExpectGolden(inst, 5, param.golden);
+  ExpectGolden(w, inst, 5, param.golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(

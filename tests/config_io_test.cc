@@ -62,6 +62,24 @@ TEST(ConfigIo, RejectsMalformedSessionId) {
   EXPECT_NE(err.message.find("malformed"), std::string::npos);
 }
 
+TEST(ConfigIo, RejectsSessionIdsAPeeringIdCannotHold) {
+  // Without a deployment the ids are still bounded by PeeringId: the largest
+  // valid id loads, the invalid-id sentinel and anything wider do not.
+  const auto parsed = ConfigFromString(
+      "# painter-advertisement-config v1\nprefix 0: 4294967294\n");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->Sessions(0).front().value(), 4294967294u);
+  for (const char* id :
+       {"4294967295", "4294967296", "18446744073709551616"}) {
+    ParseError err;
+    const std::string text =
+        std::string{"# painter-advertisement-config v1\nprefix 0: 3\n"} +
+        "prefix 1: 5 " + id + "\n";
+    EXPECT_FALSE(ConfigFromString(text, nullptr, &err).has_value()) << id;
+    EXPECT_EQ(err.line, 3u) << id;
+  }
+}
+
 TEST(ConfigIo, RejectsEmptyPrefix) {
   ParseError err;
   const std::string text = "# painter-advertisement-config v1\nprefix 0:\n";

@@ -406,8 +406,7 @@ TEST_F(ControlPlaneTest, ReactsToSessionLossWithoutFullRecompute) {
   const auto episodes_before = svc.stats().episodes_triggered;
 
   // Kill a session the committed schedule actually uses: the loss must be
-  // urgent (it touches live catchments) and the compensating commit must
-  // exclude it.
+  // urgent and the compensating commit must exclude it.
   PeeringId victim;
   for (std::size_t p = 0; p < svc.committed().PrefixCount() && !victim.valid();
        ++p) {

@@ -8,6 +8,7 @@
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
 #include "obs/metrics.h"
+#include "tests/celf_reference.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -91,34 +92,27 @@ TEST_P(OrchestratorPropertyTest, Deterministic) {
   }
 }
 
-// The incremental CELF engine (cross-round seed-marginal cache + aggregate
-// fast path) must produce the exact schedule of a from-scratch recompute, at
-// any thread count. DESIGN.md "Incremental CELF evaluation" argues why; this
-// checks it across seeded worlds.
-TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{5}}) {
-    OrchestratorConfig fast;
-    fast.prefix_budget = 7;
-    fast.num_threads = threads;
-    fast.incremental_celf = true;
-    OrchestratorConfig slow = fast;
-    slow.incremental_celf = false;
-    Orchestrator a{inst_, fast};
-    Orchestrator b{inst_, slow};
-    const auto ca = a.ComputeConfig();
-    const auto cb = b.ComputeConfig();
-    ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount()) << "threads=" << threads;
-    for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
-      EXPECT_EQ(ca.Sessions(p), cb.Sessions(p))
-          << "threads=" << threads << " prefix=" << p;
-    }
-  }
+// ComputeConfig's caches (cross-round seed marginals, aggregate fast path,
+// cached-seed pruning) must reproduce the from-scratch oracle
+// (tests/celf_reference.h) byte for byte at any thread count, in the legacy
+// and the widened action space. DESIGN.md §8 argues why; this checks it
+// across the property worlds and ten more seeds.
+class ReferenceOracleTest : public OrchestratorPropertyTest {};
+
+TEST_P(ReferenceOracleTest, MatchesReference) {
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 7;
+  const RoutingModel fresh{inst_.UgCount()};
+  test::ExpectEngineMatchesReference(inst_, fresh, cfg, "legacy");
+  cfg.action_space = ActionSpaceConfig{
+      .max_prepend = 1, .enable_lower_pref = true, .enable_no_export = true};
+  test::ExpectEngineMatchesReference(inst_, fresh, cfg, "wide");
 }
 
 // Same equivalence once the model holds learned preferences and measured
 // RTTs — the regime where the aggregate fast path must detect that an
 // exclusion can fire and fall back to the from-scratch expectation.
-TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
+TEST_P(ReferenceOracleTest, MatchesReferenceWithLearnedModel) {
   OrchestratorConfig cfg;
   cfg.prefix_budget = 6;
   cfg.max_learning_iterations = 3;
@@ -128,17 +122,10 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
   ASSERT_GT(learned.model().PreferenceCount() +
                 obs::Metrics().GetCounter("model.rtt_observations").Value(),
             0u);
-
-  OrchestratorConfig naive_cfg = cfg;
-  naive_cfg.incremental_celf = false;
-  Orchestrator naive{inst_, naive_cfg};
-  naive.mutable_model() = learned.model();
-  const auto ca = learned.ComputeConfig();
-  const auto cb = naive.ComputeConfig();
-  ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount());
-  for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
-    EXPECT_EQ(ca.Sessions(p), cb.Sessions(p)) << "prefix=" << p;
-  }
+  test::ExpectEngineMatchesReference(inst_, learned.model(), cfg, "legacy");
+  cfg.action_space = ActionSpaceConfig{
+      .max_prepend = 1, .enable_lower_pref = true, .enable_no_export = true};
+  test::ExpectEngineMatchesReference(inst_, learned.model(), cfg, "wide");
 }
 
 // The seed-marginal cache must actually engage: across a multi-prefix run,
@@ -226,6 +213,9 @@ TEST_P(OrchestratorPropertyTest, PainterDominatesBaselinesInModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrchestratorPropertyTest,
                          ::testing::Values(3, 17, 64, 301, 888));
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceOracleTest,
+                         ::testing::Values(3, 17, 64, 301, 888, 1, 2, 5, 8,
+                                           13, 21, 34, 55, 89, 144));
 
 }  // namespace
 }  // namespace painter::core

@@ -5,7 +5,7 @@
 # runs the tests selected by ctest label (see tests/CMakeLists.txt for the
 # tier/label scheme). The default selection is the memory/thread-heavy
 # `sanitize` set plus every `property` suite, the `shard` epoch-barrier
-# suite, the `actionspace` advertisement/catchment suites, and the
+# suite, the `actionspace` advertisement/CELF-pruning suites, and the
 # `control` always-on-control-plane suites (minus `slow`), which covers the
 # observability registry, the thread pool, the parallel orchestrator paths,
 # the faultsim chaos properties, the sharded-replay bit-identity suites,

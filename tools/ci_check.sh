@@ -15,8 +15,8 @@
 #   4. actionspace — the advertisement action-space tier (ctest -L
 #                 actionspace: prepend/community best-path properties,
 #                 v2 config wire format, CELF golden schedules under the
-#                 widened variant table, catchment-predictor superset and
-#                 pruning-audit suites).
+#                 widened variant table, engine-vs-oracle comparisons and
+#                 the cached-seed pruning audit).
 #   5. workload — the workload-engine tier (ctest -L workload) plus a smoke
 #                 run of bench/workload_throughput (tiny trace, full pipeline:
 #                 generate -> pin-lookup -> policy replay -> sharded sweep).

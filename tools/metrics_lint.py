@@ -18,7 +18,7 @@ GetCounter / GetGauge / GetHistogram and enforces:
     per-shard concatenation prefix). Anything else under "des." is almost
     certainly a typo'd family member and is flagged;
   - "celf.pruned.*", "bgp.prepend.*", and "control.*" are closed families
-    (DESIGN.md §14, §15): catchment pruning may only report the audited
+    (DESIGN.md §14, §15): cached-seed pruning may only report the audited
     leaves celf.pruned.{seed_evals,audit_checks}, the bgpsim prepend
     counters only bgp.prepend.{sessions,hops,withdraw_equiv}, and the
     always-on control plane only the CLOSED_FAMILIES["control"] set (bus

@@ -8,11 +8,11 @@
 #    report against the committed baseline in bench/results/ with
 #    tools/bench_compare.py. A phase slowing down by more than the tolerance
 #    fails the job.
-# 3. Builds and runs bench/fig6c_learning (which ends with the catchment-
-#    pruning phase at the 1200-stub Azure scale) and gates the pruning
-#    contract: >= 30% of CELF evaluations saved, byte-identical config (the
-#    bench itself exits non-zero otherwise), and the pruned run no slower
-#    than the unpruned one (10% single-core timing tolerance).
+# 3. Builds and runs bench/fig6c_learning (which ends with one cached-seed
+#    pruned ComputeConfig at the 1200-stub Azure scale) and gates
+#    pruning.saved_frac = pruned / (evals + pruned) >= 0.30. That the pruned
+#    engine's config is unchanged is checked against the from-scratch oracle
+#    by the tier-1 tests (catchment_test, celf_golden_test).
 # 4. Builds and runs bench/workload_throughput at full scale (>= 1M flow
 #    events, >= 100k concurrent pins, bit-identical sharded canonical stats
 #    across shard counts 1/2/4/8 — the bench exits non-zero if the scale
@@ -79,24 +79,20 @@ else
   echo "Perf check passed against $BASELINE."
 fi
 
-# --- Catchment-pruning gate: evaluation savings + no-slowdown. ---
+# --- Cached-seed pruning gate: evaluation savings. ---
 cmake --build "$BUILD_DIR" -j --target fig6c_learning
 PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/fig6c_learning >/dev/null
 PRUNING_REPORT="$REPORT_DIR/BENCH_fig6c_learning.json"
 python3 - "$PRUNING_REPORT" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-saved = report["values"]["pruning.saved_frac"]
-walls = {p["name"]: p["wall_ms"] for p in report["phases"]}
-on, off = walls["celf_pruned_1200"], walls["celf_unpruned_1200"]
-print(f"catchment pruning: {saved:.1%} of CELF evaluations saved; "
-      f"pruned {on:.0f} ms vs unpruned {off:.0f} ms")
+values = report["values"]
+saved = values["pruning.saved_frac"]
+print(f"cached-seed pruning: {saved:.1%} of CELF seed evaluations saved "
+      f"({values['pruning.pruned']:.0f} skipped, "
+      f"{values['pruning.evals']:.0f} run)")
 if saved < 0.30:
     sys.exit(f"FAIL: pruning saved {saved:.1%} < 30% of CELF evaluations")
-# Pruned does strictly less work; 10% tolerance absorbs single-core noise.
-if on > off * 1.10:
-    sys.exit(f"FAIL: pruned run slower than unpruned "
-             f"({on:.0f} ms > {off:.0f} ms)")
 PY
 
 # --- Workload-engine gate: scale thresholds + perf trajectory. ---

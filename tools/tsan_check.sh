@@ -5,7 +5,7 @@
 # tests selected by ctest label (see tests/CMakeLists.txt for the tier/label
 # scheme). The default selection is the memory/thread-heavy `sanitize` set
 # plus every `property` suite, the `shard` epoch-barrier suite, the
-# `actionspace` advertisement/catchment suites, and the `control` always-on
+# `actionspace` advertisement/CELF-pruning suites, and the `control` always-on
 # control-plane suites (whose services drive the multi-threaded
 # orchestrator from DES callbacks) (minus `slow`) — this
 # includes the faultsim chaos batch that re-runs the same
