@@ -16,6 +16,8 @@
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/problem.h"
+#include "core/sim_environment.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "util/thread_pool.h"
 
@@ -145,13 +147,17 @@ void WriteRunReport() {
     inst = &SharedInstance(kStubs);
   }
 
-  auto time_compute = [&](std::size_t num_threads, const char* phase_name) {
+  // `model` = nullptr times the empty model, which never learned a
+  // preference and so never reaches the engine's dominance-aware probe.
+  auto time_compute = [&](std::size_t num_threads, const char* phase_name,
+                          const core::RoutingModel* model = nullptr) {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
     cfg.num_threads = num_threads;
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kPasses; ++rep) {
       core::Orchestrator orch{*inst, cfg};
+      if (model != nullptr) orch.mutable_model() = *model;
       const auto start = std::chrono::steady_clock::now();
       const auto config = orch.ComputeConfig();
       const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -164,6 +170,33 @@ void WriteRunReport() {
   };
   const double serial_ms = time_compute(1, "compute_serial");
   const double parallel_ms = time_compute(threads, "compute_parallel");
+
+  // The learned-model path: the same instance after 3 Learn iterations on
+  // SimEnvironment, so UGs hold preferences and measured RTTs. The
+  // per-pass expectation_fallbacks count is the number of probes that left
+  // the running-sum fast path (deterministic, thread-count-invariant).
+  core::RoutingModel learned{inst->UgCount()};
+  {
+    core::OrchestratorConfig cfg;
+    cfg.prefix_budget = kBudget;
+    cfg.max_learning_iterations = 3;
+    cfg.num_threads = threads;
+    core::Orchestrator learner{*inst, cfg};
+    const auto& w = SharedWorld(kStubs);
+    core::SimEnvironment env{*w.resolver, *w.oracle, util::Rng{7}};
+    (void)learner.Learn(env);
+    learned = learner.model();
+  }
+  obs::Counter& fallbacks =
+      obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
+  const auto fallbacks_before = fallbacks.Value();
+  const double learned_serial_ms =
+      time_compute(1, "compute_learned_serial", &learned);
+  report.AddValue("compute_learned.expectation_fallbacks_per_pass",
+                  static_cast<double>(fallbacks.Value() - fallbacks_before) /
+                      kPasses);
+  const double learned_parallel_ms =
+      time_compute(threads, "compute_learned_parallel", &learned);
 
   auto time_predict = [&](std::size_t num_threads, const char* phase_name) {
     core::OrchestratorConfig cfg;
@@ -191,6 +224,10 @@ void WriteRunReport() {
                   serial_ms / 1000.0 / static_cast<double>(kBudget));
   if (parallel_ms > 0.0) {
     report.AddValue("compute_speedup", serial_ms / parallel_ms);
+  }
+  if (learned_parallel_ms > 0.0) {
+    report.AddValue("compute_learned_speedup",
+                    learned_serial_ms / learned_parallel_ms);
   }
   if (predict_parallel_ms > 0.0) {
     report.AddValue("predict_speedup", predict_serial_ms / predict_parallel_ms);

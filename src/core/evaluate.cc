@@ -15,6 +15,7 @@ Orchestrator::Prediction PredictBenefit(const ProblemInstance& instance,
                                         const AdvertisementConfig& config,
                                         const ExpectationParams& params,
                                         std::size_t num_threads) {
+  params.Validate();
   static obs::Counter& predictions =
       obs::Metrics().GetCounter("evaluator.predict.calls");
   predictions.Add();
@@ -373,6 +374,7 @@ double EvaluateDnsSteering(const ProblemInstance& instance,
                            const ExpectationParams& params,
                            const DnsSteeringInput& dns,
                            std::size_t num_threads) {
+  params.Validate();
   if (instance.total_weight == 0.0) return 0.0;
   const obs::TraceSpan span{"evaluator.dns.EvaluateDnsSteering"};
   static obs::Counter& dns_passes =

@@ -31,7 +31,8 @@ namespace painter::core {
 // anycast as the floor, so per-UG improvements are >= 0. The per-UG loop is
 // evaluated with up to `num_threads` threads (0 = hardware_concurrency,
 // 1 = serial); per-UG terms are reduced in fixed UG order so the result is
-// bit-identical at any thread count.
+// bit-identical at any thread count. Throws std::invalid_argument when
+// `params` fails ExpectationParams::Validate.
 [[nodiscard]] Orchestrator::Prediction PredictBenefit(
     const ProblemInstance& instance, const RoutingModel& model,
     const AdvertisementConfig& config, const ExpectationParams& params,
@@ -120,6 +121,8 @@ struct DnsSteeringInput {
 // The (UG × prefix) modeled-RTT matrix fill is evaluated with up to
 // `num_threads` threads (0 = hardware_concurrency, 1 = serial); each (u, p)
 // cell is independent, so results are identical at any thread count.
+// Throws std::invalid_argument when `params` fails
+// ExpectationParams::Validate.
 [[nodiscard]] double EvaluateDnsSteering(const ProblemInstance& instance,
                                          const RoutingModel& model,
                                          const AdvertisementConfig& config,

@@ -11,6 +11,7 @@
 #include <limits>
 #include <queue>
 #include <string>
+#include <utility>
 
 namespace painter::core {
 namespace {
@@ -86,7 +87,9 @@ Orchestrator::Orchestrator(const ProblemInstance& instance,
       // world before anything can be served from the cross-call cache.
       ug_dirty_(instance.UgCount(), 1),
       peering_dirty_ext_(instance.peering_count, 1),
-      dirty_ug_count_(instance.UgCount()) {}
+      dirty_ug_count_(instance.UgCount()) {
+  config_.Expectation().Validate();
+}
 
 bool Orchestrator::InvalidateUg(std::uint32_t ug) {
   if (ug >= instance_->UgCount()) return false;
@@ -168,27 +171,43 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   std::vector<double> cur_e(n_ug, kInf);  // E of the in-progress prefix
   std::vector<util::PeeringId> sessions;  // its advertised sessions, sorted
   std::vector<SessionAttr> session_attrs;  // parallel to `sessions` when wide
-  // Per-UG candidate list for the in-progress prefix: the UG's compliant
-  // options among `sessions`, maintained incrementally so each marginal
-  // evaluation is O(|candidates|) instead of an intersection walk.
-  std::vector<std::vector<const IngressOption*>> cands(n_ug);
-  // Attribute each candidate was committed under (parallel to cands[u]) and
-  // a per-UG flag set once any candidate carries a non-default attribute:
-  // the running-aggregate fast paths assume plain candidates, so flagged UGs
-  // divert to the tiered attributed evaluation. Only maintained when the
-  // action space is widened — the legacy space never allocates them.
-  std::vector<std::vector<SessionAttr>> cand_attrs(wide ? n_ug : 0);
-  std::vector<std::uint8_t> cand_attributed(wide ? n_ug : 0, 0);
-  // Running aggregates over the raw (exclusion-free) candidate list, in
-  // append order: the Eq. 2 mean of a grown-by-one list is
-  // (sum + rtt) / (count + 1) whenever neither exclusion can fire, which
-  // the min/max-distance spread and RoutingModel::HasPreferences detect
-  // exactly. Sums accumulate in the same order the from-scratch walk would,
-  // so the fast path is bit-identical to it.
-  std::vector<std::uint32_t> cand_count(n_ug, 0);
-  std::vector<double> cand_sum(n_ug, 0.0);
-  std::vector<double> cand_min_km(n_ug, 0.0);
-  std::vector<double> cand_max_km(n_ug, 0.0);
+
+  // Per-UG state of the in-progress prefix, updated at commit time so each
+  // marginal evaluation costs O(|cands|) at most, never an intersection
+  // walk or a from-scratch Eq. 2 evaluation.
+  //  - cands: the UG's compliant options among `sessions`, in commit order,
+  //    each with its effective RTT, its (lower-pref, prepend) tier and
+  //    whether another candidate of the best tier present is known-preferred
+  //    over it (RoutingModel::Prefers).
+  //  - sum, min_km, max_km: running aggregates over the raw (exclusion-free)
+  //    list. The Eq. 2 mean of a grown-by-one list is (sum + rtt) / (k + 1)
+  //    whenever neither exclusion can fire, which the distance spread and
+  //    RoutingModel::HasPreferences detect exactly. The sum accumulates in
+  //    append order, as the from-scratch walk does, so it is bit-identical.
+  //  - attributed: some candidate carries a non-default attribute, so the
+  //    aggregates (which assume plain candidates) do not apply.
+  struct Cand {
+    double rtt;
+    double km;
+    util::PeeringId peering;
+    std::uint16_t tier;
+    bool dominated;
+  };
+  struct UgState {
+    std::vector<Cand> cands;
+    double sum = 0.0;
+    double min_km = 0.0;  // min/max are only read when cands is non-empty
+    double max_km = 0.0;
+    std::uint16_t best_tier = 0;
+    bool attributed = false;
+  };
+  std::vector<UgState> ugs(n_ug);
+  // The order BGP applies before hop count, as ComputeExpectationAttributed
+  // tiers candidates: lower-pref first, then prepend length.
+  const auto tier_of = [](const SessionAttr& a) {
+    return static_cast<std::uint16_t>(
+        (a.community == bgpsim::Community::kLowerPref ? 256 : 0) + a.prepend);
+  };
 
   // Effective single-candidate RTT per flat-index entry: the measured RTT
   // when the model has one, else the instance estimate — exactly the value
@@ -266,75 +285,84 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     metrics.celf_cross_seed_invalidations.Add(cross_invalidations);
   }
 
-  // Eq. 2 mean of cands[u] + opt (kInf when unusable), without mutating
-  // state. Fast path: a lone candidate is exclusion-free by construction,
-  // and a multi-candidate list with no learned preferences and a distance
-  // spread within D_reuse keeps every candidate, so the mean is a running
-  // sum away. Anything else falls back to the from-scratch walk (which IS
-  // the reference semantics, so both paths agree bit-for-bit).
-  auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
-                           double rtt) {
-    const std::uint32_t count = cand_count[u];
-    if (count == 0) return rtt;
-    if (!model_.HasPreferences(u)) {
-      const double min_km = std::min(cand_min_km[u], opt->distance_km);
-      const double max_km = std::max(cand_max_km[u], opt->distance_km);
-      if (max_km - min_km <= params.d_reuse_km) {
-        // No exclusion can fire: the mean is over the full grown list.
-        return (cand_sum[u] + rtt) / static_cast<double>(count + 1);
+  // Eq. 2 mean of cands + opt announced at `tier` (kInf when unusable),
+  // exactly as ComputeExpectationAttributed evaluates it on the whole list
+  // (ComputeExpectationFromCandidates when every tier is 0), without
+  // mutating state. Only candidates of the best tier present survive
+  // tiering. Among those, the stored flags already settle dominance between
+  // committed candidates, so the probe asks at most 2k preference questions:
+  // does a candidate beat opt, and which candidates does opt beat. Survivors
+  // then pass D_reuse and are summed in append order, as the walk sums them.
+  auto probe = [&](const UgState& s, std::uint32_t u, const IngressOption* opt,
+                   double rtt, std::uint16_t tier) {
+    if (s.cands.empty()) return rtt;
+    const std::uint16_t best = std::min(s.best_tier, tier);
+    const bool opt_in = tier == best;
+    const bool prefs = opt_in && model_.HasPreferences(u);
+    bool opt_beaten = false;
+    // Survivors as (km, rtt); thread_local because the seeding scan probes
+    // on pool workers.
+    thread_local std::vector<std::pair<double, double>> live;
+    live.clear();
+    for (const Cand& c : s.cands) {
+      if (c.tier != best) continue;
+      if (prefs) {
+        opt_beaten = opt_beaten || model_.Prefers(u, c.peering, opt->peering);
+        if (!c.dominated && model_.Prefers(u, opt->peering, c.peering)) {
+          continue;
+        }
       }
-      if (opt->distance_km - cand_min_km[u] > params.d_reuse_km) {
-        // The new option is excluded by D_reuse itself and (being farther
-        // than the current min) cannot shift the min, so the surviving set
-        // is exactly that of the current list — whose expectation cur_e[u]
-        // already is.
-        return cur_e[u];
-      }
-      if (cand_min_km[u] - opt->distance_km > params.d_reuse_km) {
-        // The new option undercuts every current candidate by more than
-        // D_reuse: they are all excluded and it alone survives.
-        return rtt;
-      }
+      if (!c.dominated) live.emplace_back(c.km, c.rtt);
     }
-    metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
-    // Scratch reused across calls; thread_local so the concurrent seeding
-    // scan below can evaluate marginals on pool workers without sharing.
-    thread_local std::vector<const IngressOption*> trial;
-    trial.assign(cands[u].begin(), cands[u].end());
-    trial.push_back(opt);
-    const PrefixExpectation e =
-        ComputeExpectationFromCandidates(model_, u, trial, params);
-    return e.usable ? e.mean_rtt : kInf;
+    if (opt_in && !opt_beaten) live.emplace_back(opt->distance_km, rtt);
+    if (live.empty()) return kInf;
+    double min_km = live.front().first;
+    for (const auto& c : live) min_km = std::min(min_km, c.first);
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const auto& [km, r] : live) {
+      if (km - min_km > params.d_reuse_km) continue;
+      sum += r;
+      ++n;
+    }
+    return sum / static_cast<double>(n);
   };
 
-  // Attributed probe: Eq. 2 mean of cands[u] + (opt announced under `attr`).
-  // A plain probe against a plain candidate list delegates to expected_with
-  // — in the legacy action space that is every call, so it stays
-  // bit-identical. Otherwise the attributed tiered evaluation
-  // (routing_model.h) runs on the rebuilt AdvertisedOption list.
-  auto expected_with_attr = [&](std::uint32_t u, const IngressOption* opt,
-                                double rtt, const SessionAttr& attr) {
-    if (!wide || (attr.IsDefault() && cand_attributed[u] == 0)) {
-      return expected_with(u, opt, rtt);
+  // The probe behind every marginal and commit. Fast path for plain
+  // candidates and a plain announcement: a lone candidate is exclusion-free
+  // by construction, and a multi-candidate list with no learned preferences
+  // and a distance spread within D_reuse keeps every candidate, so the mean
+  // is a running sum away. Everything else counts a fallback and runs the
+  // O(k) probe above.
+  auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
+                           double rtt, const SessionAttr& attr) {
+    const UgState& s = ugs[u];
+    if (!wide || (attr.IsDefault() && !s.attributed)) {
+      const std::size_t count = s.cands.size();
+      if (count == 0) return rtt;
+      if (!model_.HasPreferences(u)) {
+        const double min_km = std::min(s.min_km, opt->distance_km);
+        const double max_km = std::max(s.max_km, opt->distance_km);
+        if (max_km - min_km <= params.d_reuse_km) {
+          // No exclusion can fire: the mean is over the full grown list.
+          return (s.sum + rtt) / static_cast<double>(count + 1);
+        }
+        if (opt->distance_km - s.min_km > params.d_reuse_km) {
+          // The new option is excluded by D_reuse itself and (being farther
+          // than the current min) cannot shift the min, so the surviving
+          // set is exactly that of the current list — whose expectation
+          // cur_e[u] already is.
+          return cur_e[u];
+        }
+        if (s.min_km - opt->distance_km > params.d_reuse_km) {
+          // The new option undercuts every current candidate by more than
+          // D_reuse: they are all excluded and it alone survives.
+          return rtt;
+        }
+      }
     }
     metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
-    const auto as_advertised = [](const IngressOption* o,
-                                  const SessionAttr& a) {
-      return AdvertisedOption{
-          .opt = o,
-          .prepend = a.prepend,
-          .lower_pref = a.community == bgpsim::Community::kLowerPref,
-          .no_export = a.community == bgpsim::Community::kNoExportUp};
-    };
-    thread_local std::vector<AdvertisedOption> atrial;
-    atrial.clear();
-    for (std::size_t k = 0; k < cands[u].size(); ++k) {
-      atrial.push_back(as_advertised(cands[u][k], cand_attrs[u][k]));
-    }
-    atrial.push_back(as_advertised(opt, attr));
-    const PrefixExpectation e =
-        ComputeExpectationAttributed(model_, u, atrial, params);
-    return e.usable ? e.mean_rtt : kInf;
+    return probe(s, u, opt, rtt, tier_of(attr));
   };
 
   // Eq. 1 marginal benefit of adding `gid` under `attr` to the in-progress
@@ -350,8 +378,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       // A no-export announcement never reaches out-of-cone UGs: exact zero
       // contribution, skip the probe.
       if (nx && !flat_.option[i]->in_peer_cone) continue;
-      const double new_e =
-          expected_with_attr(u, flat_.option[i], eff_rtt[i], attr);
+      const double new_e = expected_with(u, flat_.option[i], eff_rtt[i], attr);
       const double old_best = std::min(base_best[u], cur_e[u]);
       const double new_best = std::min(base_best[u], new_e);
       delta += inst.ug_weight[u] * (old_best - new_best);
@@ -363,13 +390,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     sessions.clear();
     session_attrs.clear();
     std::fill(cur_e.begin(), cur_e.end(), kInf);
-    for (auto& c : cands) c.clear();
-    for (auto& a : cand_attrs) a.clear();
-    std::fill(cand_attributed.begin(), cand_attributed.end(),
-              static_cast<std::uint8_t>(0));
-    std::fill(cand_count.begin(), cand_count.end(), 0u);
-    std::fill(cand_sum.begin(), cand_sum.end(), 0.0);
-    // min/max km are only read when cand_count > 0; no reset needed.
+    for (UgState& s : ugs) {
+      s.cands.clear();
+      s.sum = 0.0;
+      s.attributed = false;
+    }
 
     // Inner loop of Algorithm 1: add peerings while one yields positive
     // marginal benefit (Eq. 1 over modelled expectations).
@@ -530,21 +555,36 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         // No-export never reaches out-of-cone UGs: their candidate state and
         // expectation are untouched by this commit.
         if (nx && !opt->in_peer_cone) continue;
-        cur_e[u] = expected_with_attr(u, opt, eff_rtt[i], attr);
-        cands[u].push_back(opt);
-        if (wide) {
-          cand_attrs[u].push_back(attr);
-          if (!attr.IsDefault()) cand_attributed[u] = 1;
+        cur_e[u] = expected_with(u, opt, eff_rtt[i], attr);
+        UgState& s = ugs[u];
+        Cand added{.rtt = eff_rtt[i],
+                   .km = opt->distance_km,
+                   .peering = opt->peering,
+                   .tier = tier_of(attr),
+                   .dominated = false};
+        if (s.cands.empty() || added.tier < s.best_tier) {
+          // A better tier starts over: the older candidates are tiered out
+          // for good (tiers only fall as candidates are added).
+          s.best_tier = added.tier;
+        } else if (added.tier == s.best_tier && model_.HasPreferences(u)) {
+          for (Cand& c : s.cands) {
+            if (c.tier != added.tier) continue;
+            added.dominated = added.dominated ||
+                              model_.Prefers(u, c.peering, added.peering);
+            c.dominated = c.dominated ||
+                          model_.Prefers(u, added.peering, c.peering);
+          }
         }
-        if (cand_count[u] == 0) {
-          cand_min_km[u] = opt->distance_km;
-          cand_max_km[u] = opt->distance_km;
+        if (s.cands.empty()) {
+          s.min_km = added.km;
+          s.max_km = added.km;
         } else {
-          cand_min_km[u] = std::min(cand_min_km[u], opt->distance_km);
-          cand_max_km[u] = std::max(cand_max_km[u], opt->distance_km);
+          s.min_km = std::min(s.min_km, added.km);
+          s.max_km = std::max(s.max_km, added.km);
         }
-        cand_sum[u] += eff_rtt[i];
-        ++cand_count[u];
+        s.sum += added.rtt;
+        s.attributed = s.attributed || !attr.IsDefault();
+        s.cands.push_back(added);
       }
       if (!config_.enable_reuse) break;  // ablation: one peering per prefix
     }

@@ -141,6 +141,8 @@ class AdvertisementEnvironment {
 
 class Orchestrator {
  public:
+  // Throws std::invalid_argument when config.Expectation() fails
+  // ExpectationParams::Validate.
   Orchestrator(const ProblemInstance& instance, OrchestratorConfig config);
 
   // One greedy pass (the body of Algorithm 1's learning iteration) under the

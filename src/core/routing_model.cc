@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
 namespace painter::core {
-namespace {
-
-std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
-  return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
-}
-
-}  // namespace
-
 RoutingModel::RoutingModel(std::size_t ug_count)
     : prefers_(ug_count), measured_(ug_count) {}
 
@@ -65,14 +58,9 @@ bool RoutingModel::ObserveLatency(std::uint32_t ug, util::PeeringId ingress,
 bool RoutingModel::IsDominated(
     std::uint32_t ug, util::PeeringId candidate,
     std::span<const util::PeeringId> active) const {
-  const auto& set = prefers_.at(ug);
-  if (set.empty()) return false;
+  if (prefers_.at(ug).empty()) return false;
   for (util::PeeringId other : active) {
-    if (other == candidate) continue;
-    if (std::binary_search(set.begin(), set.end(),
-                           PairKey(other, candidate))) {
-      return true;
-    }
+    if (other != candidate && Prefers(ug, other, candidate)) return true;
   }
   return false;
 }
@@ -83,6 +71,17 @@ std::optional<double> RoutingModel::MeasuredRtt(std::uint32_t ug,
   const auto it = m.find(ingress.value());
   if (it == m.end()) return std::nullopt;
   return it->second;
+}
+
+void ExpectationParams::Validate() const {
+  // Written so that NaN fails both tests.
+  if (!(d_reuse_km >= 0.0)) {
+    throw std::invalid_argument{"ExpectationParams: d_reuse_km must be >= 0"};
+  }
+  if (!(inflation_decay_km > 0.0)) {
+    throw std::invalid_argument{
+        "ExpectationParams: inflation_decay_km must be > 0"};
+  }
 }
 
 PrefixExpectation ComputeExpectationFromCandidates(

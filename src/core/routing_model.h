@@ -23,6 +23,7 @@
 // likely", weights decay with excess distance).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,13 +35,13 @@
 
 namespace painter::core {
 
-// Thread-safety contract: the const methods (IsDominated, HasPreferences,
-// MeasuredRtt, PreferenceCount) and the ComputeExpectation* helpers below only read
-// shared state, so any number of threads may call them concurrently — the
-// orchestrator's parallel evaluation loops rely on this. The Observe*
-// mutators require exclusive access (they run in the serial Absorb phase of
-// the learning loop, never concurrently with evaluations). All evaluation
-// scratch is thread_local.
+// Thread-safety contract: the const methods (Prefers, IsDominated,
+// HasPreferences, MeasuredRtt, PreferenceCount) and the ComputeExpectation*
+// helpers below only read shared state, so any number of threads may call
+// them concurrently — the orchestrator's parallel evaluation loops rely on
+// this. The Observe* mutators require exclusive access (they run in the
+// serial Absorb phase of the learning loop, never concurrently with
+// evaluations). All evaluation scratch is thread_local.
 class RoutingModel {
  public:
   explicit RoutingModel(std::size_t ug_count);
@@ -60,6 +61,16 @@ class RoutingModel {
   // measurement noise and leave the stored value untouched).
   bool ObserveLatency(std::uint32_t ug, util::PeeringId ingress, double rtt_ms,
                       double epsilon_ms = 0.0);
+
+  // True if `ug` is known to prefer ingress `winner` over `loser`: an
+  // observation put `ug` on `winner` while `loser` was also available, and
+  // no later observation retracted it. One binary search, inline because
+  // the CELF probe asks it up to 2k times per marginal term.
+  [[nodiscard]] bool Prefers(std::uint32_t ug, util::PeeringId winner,
+                             util::PeeringId loser) const {
+    const auto& set = prefers_[ug];
+    return std::binary_search(set.begin(), set.end(), PairKey(winner, loser));
+  }
 
   // True if some *other* candidate in `active` is known-preferred over
   // `candidate` for this UG (then `candidate` has zero likelihood, §3.1).
@@ -89,6 +100,9 @@ class RoutingModel {
   // greedy loop's expectation fallback) is a binary search over a contiguous
   // few-element array, and mutation happens only in the serial Absorb phase.
   std::vector<std::vector<std::uint64_t>> prefers_;
+  static std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
+    return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
+  }
   // ug -> ingress -> measured RTT.
   std::vector<std::unordered_map<std::uint32_t, double>> measured_;
   std::size_t preference_count_ = 0;
@@ -101,6 +115,13 @@ struct ExpectationParams {
   // Decay constant for the inflation-likelihood weights of the "estimated"
   // range: weight ∝ exp(-excess_km / this).
   double inflation_decay_km = 4000.0;
+
+  // Throws std::invalid_argument unless d_reuse_km >= 0 and
+  // inflation_decay_km > 0 (NaN fails both). A negative D_reuse would drop
+  // every candidate of a multi-candidate list, including the closest one.
+  // The Orchestrator constructor and the evaluate.h entry points validate;
+  // the per-UG ComputeExpectation* helpers below assume valid params.
+  void Validate() const;
 };
 
 struct PrefixExpectation {
@@ -120,10 +141,11 @@ struct PrefixExpectation {
     const ExpectationParams& params);
 
 // Same evaluation from an already-intersected candidate list (the UG's
-// compliant options among the advertised sessions). The greedy inner loop of
-// Algorithm 1 maintains these lists incrementally, so marginal evaluations
-// cost O(|candidates|^2) with tiny candidate counts instead of re-walking
-// the full option lists.
+// compliant options among the advertised sessions). Costs |candidates|
+// measured-RTT lookups plus, once the UG has learned preferences, up to
+// |candidates|^2 preference binary searches. This is the reference
+// semantics of the orchestrator's O(|candidates|) incremental probe
+// (DESIGN.md §8), which keeps per-candidate dominance flags instead.
 [[nodiscard]] PrefixExpectation ComputeExpectationFromCandidates(
     const RoutingModel& model, std::uint32_t ug,
     std::span<const IngressOption* const> candidates,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/baselines.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
@@ -56,6 +59,26 @@ TEST_F(EvaluateTest, PerPopHasWiderRangeThanPerPeering) {
       inst_, model, OnePerPeering(*w_.deployment, inst_, 6), {});
   EXPECT_GT(pop.upper_ms - pop.lower_ms,
             peering.upper_ms - peering.lower_ms - 1e-9);
+}
+
+TEST_F(EvaluateTest, RejectsInvalidExpectationParams) {
+  const RoutingModel model{inst_.UgCount()};
+  const auto cfg = OnePerPop(*w_.deployment, inst_, 4);
+  DnsSteeringInput dns;
+  dns.resolver_of_ug.assign(inst_.UgCount(), 0);
+  dns.resolver_supports_ecs = {false};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const ExpectationParams bad :
+       {ExpectationParams{.d_reuse_km = -1.0},
+        ExpectationParams{.d_reuse_km = nan},
+        ExpectationParams{.inflation_decay_km = 0.0},
+        ExpectationParams{.inflation_decay_km = nan}}) {
+    EXPECT_THROW((void)PredictBenefit(inst_, model, cfg, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)EvaluateDnsSteering(inst_, model, cfg, bad, dns),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW((void)PredictBenefit(inst_, model, cfg, {}));
 }
 
 TEST_F(EvaluateTest, EmptyConfigPredictsZero) {

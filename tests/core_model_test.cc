@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/problem.h"
 #include "core/routing_model.h"
 #include "tests/world_fixture.h"
@@ -58,6 +61,22 @@ TEST(Expectation, NonCompliantPrefixUnusable) {
   RoutingModel model{2};
   const util::PeeringId ad[] = {util::PeeringId{3}};
   EXPECT_FALSE(ComputeExpectation(inst, model, 0, ad, {}).usable);
+}
+
+TEST(Expectation, ParamsValidate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NO_THROW(ExpectationParams{}.Validate());
+  EXPECT_NO_THROW((ExpectationParams{.d_reuse_km = 0.0}.Validate()));
+  for (const double d_reuse : {-1.0, -0.0001, nan}) {
+    EXPECT_THROW((ExpectationParams{.d_reuse_km = d_reuse}.Validate()),
+                 std::invalid_argument)
+        << d_reuse;
+  }
+  for (const double decay : {0.0, -1.0, nan}) {
+    EXPECT_THROW((ExpectationParams{.inflation_decay_km = decay}.Validate()),
+                 std::invalid_argument)
+        << decay;
+  }
 }
 
 TEST(Expectation, MeanOverCandidates) {

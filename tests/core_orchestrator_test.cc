@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "core/evaluate.h"
@@ -287,6 +288,26 @@ TEST(SimEnvironmentTest, RejectsNonPositivePingCount) {
                  std::invalid_argument);
   }
   EXPECT_NO_THROW((SimEnvironment{*w.resolver, *w.oracle, util::Rng{2}, 1}));
+}
+
+TEST(OrchestratorValidation, RejectsInvalidExpectationParams) {
+  const ProblemInstance inst = test::MakeInstance(test::SharedWorld());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d_reuse : {-1.0, -1e-9, nan}) {
+    OrchestratorConfig cfg;
+    cfg.d_reuse_km = d_reuse;
+    EXPECT_THROW((Orchestrator{inst, cfg}), std::invalid_argument)
+        << "d_reuse_km=" << d_reuse;
+  }
+  for (const double decay : {0.0, -4000.0, nan}) {
+    OrchestratorConfig cfg;
+    cfg.inflation_decay_km = decay;
+    EXPECT_THROW((Orchestrator{inst, cfg}), std::invalid_argument)
+        << "inflation_decay_km=" << decay;
+  }
+  OrchestratorConfig zero_reuse;
+  zero_reuse.d_reuse_km = 0.0;  // legal: only equidistant candidates share
+  EXPECT_NO_THROW((Orchestrator{inst, zero_reuse}));
 }
 
 }  // namespace

@@ -7,18 +7,24 @@ candidate report B. Intended use is tools/perf_check.sh comparing a committed
 baseline against a fresh run of bench/micro_orchestrator, but it works for
 any pair of reports with the painter.bench.v1 schema (see src/obs/report.h).
 
-Exit status: 0 when every checked phase is within tolerance, 1 when any
-phase regressed by more than the tolerance, 2 on schema/usage errors.
-Counter/gauge deltas are informational — they legitimately change when the
-engine changes (e.g. orchestrator.celf.evaluations drops when the seed cache
-lands) — so they never fail the comparison; schedules staying bit-identical
-is the job of the golden/property tests, not this tool.
+Exit status: 0 when every checked phase is within tolerance and every
+--exact counter matches, 1 when any phase regressed by more than the
+tolerance or an --exact counter differs (or is missing from either report),
+2 on schema/usage errors. Other counter/gauge deltas are informational —
+they legitimately change when the engine changes (e.g.
+orchestrator.celf.evaluations drops when the seed cache lands) — so they
+never fail the comparison; schedules staying bit-identical is the job of the
+golden/property tests, not this tool.
 
 Usage:
   tools/bench_compare.py BASELINE.json CANDIDATE.json [--tolerance FRAC]
+                         [--exact COUNTER]...
 
   --tolerance FRAC   allowed fractional slowdown per phase before the exit
                      status reports a regression (default 0.25 = 25%).
+  --exact COUNTER    a deterministic work counter that must equal the
+                     baseline's exactly (repeatable). Only counters that do
+                     not depend on thread count or timing belong here.
 """
 
 import argparse
@@ -76,6 +82,10 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed fractional slowdown per phase "
                          "(default: 0.25)")
+    ap.add_argument("--exact", action="append", default=[],
+                    metavar="COUNTER",
+                    help="counter that must match the baseline exactly "
+                         "(repeatable)")
     args = ap.parse_args()
 
     base = load_report(args.baseline)
@@ -113,17 +123,34 @@ def main():
     diff_section("values", base.get("values", {}), cand.get("values", {}))
     metrics_a = base.get("metrics", {})
     metrics_b = cand.get("metrics", {})
-    diff_section("counters (informational)",
+    diff_section("counters (informational unless --exact)",
                  metrics_a.get("counters", {}), metrics_b.get("counters", {}),
                  fmt=lambda v: f"{int(v)}")
     diff_section("gauges (informational)",
                  metrics_a.get("gauges", {}), metrics_b.get("gauges", {}))
 
+    counters_a = metrics_a.get("counters", {})
+    counters_b = metrics_b.get("counters", {})
+    mismatches = []
+    if args.exact:
+        print("\nexact counters:")
+    for name in args.exact:
+        a, b = counters_a.get(name), counters_b.get(name)
+        verdict = "ok" if a is not None and a == b else "MISMATCH"
+        if verdict != "ok":
+            mismatches.append(name)
+        print(f"  {name}  {a} -> {b}  {verdict}")
+
     if regressions:
         print(f"\nFAIL: {len(regressions)} phase(s) regressed beyond "
               f"{args.tolerance:.0%}: {', '.join(regressions)}")
+    if mismatches:
+        print(f"\nFAIL: {len(mismatches)} exact counter(s) differ from the "
+              f"baseline: {', '.join(mismatches)}")
+    if regressions or mismatches:
         return 1
-    print("\nOK: no phase regressed beyond tolerance.")
+    print("\nOK: no phase regressed beyond tolerance"
+          + (" and every exact counter matches." if args.exact else "."))
     return 0
 
 

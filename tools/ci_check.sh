@@ -2,7 +2,8 @@
 # The full local CI pipeline, in escalating order of cost:
 #
 #   0. lint     — tools/metrics_lint.py: metric-name literals must follow
-#                 the registry naming convention (free, fails fast).
+#                 the registry naming convention (free, fails fast); plus
+#                 the unit checks of tools/bench_compare.py's exit status.
 #   1. tier1    — the deterministic correctness gate (ctest -L tier1,
 #                 including the slow property suites): must stay green on
 #                 every change.
@@ -57,6 +58,7 @@ BUILD_DIR="${1:-build}"
 
 echo "=== ci 0/10: metrics naming lint ==="
 python3 tools/metrics_lint.py
+python3 -B -m unittest discover -s tools -p 'test_*.py'
 
 echo "=== ci 1/10: tier1 correctness gate ==="
 cmake -B "$BUILD_DIR" -S . >/dev/null

@@ -7,7 +7,10 @@
 #    (--report-only skips the google-benchmark suite), and diffs the fresh
 #    report against the committed baseline in bench/results/ with
 #    tools/bench_compare.py. A phase slowing down by more than the tolerance
-#    fails the job.
+#    fails the job, and so does any difference in the deterministic CELF
+#    work counters (orchestrator.celf.evaluations, celf.pruned.seed_evals,
+#    orchestrator.celf.expectation_fallbacks), which are exact at any
+#    thread count and on any host; the other counters stay informational.
 # 3. Builds and runs bench/fig6c_learning (which ends with one cached-seed
 #    pruned ComputeConfig at the 1200-stub Azure scale) and gates
 #    pruning.saved_frac = pruned / (evals + pruned) >= 0.30. That the pruned
@@ -63,6 +66,8 @@ cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}" >/dev/null
 ctest --test-dir "$BUILD_DIR" -L "$LABELS" -LE slow --output-on-failure
 
 # --- Performance gate. ---
+# The exact-counter comparison below must fail on a one-count difference.
+python3 -B -m unittest discover -s tools -p 'test_*.py'
 cmake --build "$BUILD_DIR" -j --target micro_orchestrator
 
 mkdir -p "$REPORT_DIR"
@@ -75,7 +80,10 @@ if [[ ! -f "$BASELINE" ]]; then
   cp "$REPORT" "$BASELINE"
   echo "No baseline found; installed $REPORT as $BASELINE — commit it."
 else
-  tools/bench_compare.py "$BASELINE" "$REPORT" --tolerance "$TOLERANCE"
+  tools/bench_compare.py "$BASELINE" "$REPORT" --tolerance "$TOLERANCE" \
+    --exact orchestrator.celf.evaluations \
+    --exact celf.pruned.seed_evals \
+    --exact orchestrator.celf.expectation_fallbacks
   echo "Perf check passed against $BASELINE."
 fi
 
