@@ -72,34 +72,25 @@ void BM_Expectation(benchmark::State& state) {
 }
 BENCHMARK(BM_Expectation);
 
-// Args: {stub count, num_threads}. Compare rows at the same stub count to
-// read the serial-vs-parallel speedup of the CELF seeding scan (thread count
-// 1 forces the serial path). Results are bit-identical across every row at
-// the same stub count — see the golden-schedule and property tests.
+// Arg: stub count.
 void BM_OrchestratorPerPrefix(benchmark::State& state) {
   const auto& inst = SharedInstance(static_cast<std::size_t>(state.range(0)));
   core::OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
-  cfg.num_threads = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     core::Orchestrator orch{inst, cfg};
     benchmark::DoNotOptimize(orch.ComputeConfig());
   }
   state.counters["ugs"] = static_cast<double>(inst.UgCount());
   state.counters["sessions"] = static_cast<double>(inst.peering_count);
-  state.counters["threads"] = static_cast<double>(cfg.num_threads);
   state.counters["s_per_prefix"] = benchmark::Counter(
       8.0, benchmark::Counter::kIsIterationInvariantRate |
                benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_OrchestratorPerPrefix)
-    ->Args({300, 1})
-    ->Args({600, 1})
-    ->Args({600, 2})
-    ->Args({600, 8})
-    ->Args({1200, 1})
-    ->Args({1200, 2})
-    ->Args({1200, 8})
+    ->Arg(300)
+    ->Arg(600)
+    ->Arg(1200)
     ->Unit(benchmark::kMillisecond);
 
 // Arg: num_threads for the per-UG prediction loop (1 = serial baseline).
@@ -129,9 +120,10 @@ BENCHMARK(BM_PredictBenefit)->Arg(1)->Arg(2)->Arg(8)
 void WriteRunReport() {
   constexpr std::size_t kStubs = 1200;
   constexpr std::size_t kBudget = 8;
-  constexpr int kPasses = 9;
-  // At least 2 so the parallel path (and the pool's queue-wait telemetry) is
-  // exercised even on single-core machines; on real hardware, all cores.
+  constexpr int kPasses = 18;
+  // Predict's thread count: at least 2 so the parallel path (and the pool's
+  // queue-wait telemetry) is exercised even on single-core machines; on real
+  // hardware, all cores.
   const std::size_t threads =
       std::max<std::size_t>(2, util::EffectiveThreads(0));
 
@@ -149,11 +141,10 @@ void WriteRunReport() {
 
   // `model` = nullptr times the empty model, which never learned a
   // preference and so never reaches the engine's dominance-aware probe.
-  auto time_compute = [&](std::size_t num_threads, const char* phase_name,
+  auto time_compute = [&](const char* phase_name,
                           const core::RoutingModel* model = nullptr) {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
-    cfg.num_threads = num_threads;
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kPasses; ++rep) {
       core::Orchestrator orch{*inst, cfg};
@@ -168,13 +159,12 @@ void WriteRunReport() {
     report.AddPhaseMs(phase_name, best_ms);
     return best_ms;
   };
-  const double serial_ms = time_compute(1, "compute_serial");
-  const double parallel_ms = time_compute(threads, "compute_parallel");
+  const double serial_ms = time_compute("compute_serial");
 
   // The learned-model path: the same instance after 3 Learn iterations on
   // SimEnvironment, so UGs hold preferences and measured RTTs. The
   // per-pass expectation_fallbacks count is the number of probes that left
-  // the running-sum fast path (deterministic, thread-count-invariant).
+  // the running-sum fast path (deterministic).
   core::RoutingModel learned{inst->UgCount()};
   {
     core::OrchestratorConfig cfg;
@@ -190,13 +180,10 @@ void WriteRunReport() {
   obs::Counter& fallbacks =
       obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
   const auto fallbacks_before = fallbacks.Value();
-  const double learned_serial_ms =
-      time_compute(1, "compute_learned_serial", &learned);
+  time_compute("compute_learned_serial", &learned);
   report.AddValue("compute_learned.expectation_fallbacks_per_pass",
                   static_cast<double>(fallbacks.Value() - fallbacks_before) /
                       kPasses);
-  const double learned_parallel_ms =
-      time_compute(threads, "compute_learned_parallel", &learned);
 
   auto time_predict = [&](std::size_t num_threads, const char* phase_name) {
     core::OrchestratorConfig cfg;
@@ -222,13 +209,6 @@ void WriteRunReport() {
 
   report.AddValue("compute_s_per_prefix_serial",
                   serial_ms / 1000.0 / static_cast<double>(kBudget));
-  if (parallel_ms > 0.0) {
-    report.AddValue("compute_speedup", serial_ms / parallel_ms);
-  }
-  if (learned_parallel_ms > 0.0) {
-    report.AddValue("compute_learned_speedup",
-                    learned_serial_ms / learned_parallel_ms);
-  }
   if (predict_parallel_ms > 0.0) {
     report.AddValue("predict_speedup", predict_serial_ms / predict_parallel_ms);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace painter::cloudsim {
 
@@ -60,10 +61,15 @@ Deployment BuildDeployment(topo::Internet& internet,
                                                         std::size_t b) {
     return metros[a].population_weight > metros[b].population_weight;
   });
-  const std::size_t pop_count = std::min(config.pop_count, metros.size());
+  if (config.pop_count == 0 || config.pop_count > metros.size()) {
+    throw std::invalid_argument(
+        "BuildDeployment: pop_count " + std::to_string(config.pop_count) +
+        " outside [1, " + std::to_string(metros.size()) +
+        "] (one PoP per metro)");
+  }
   std::vector<Pop> pops;
   std::vector<util::MetroId> pop_metros;
-  for (std::size_t i = 0; i < pop_count; ++i) {
+  for (std::size_t i = 0; i < config.pop_count; ++i) {
     const topo::Metro& m = metros[metro_order[i]];
     pops.push_back(Pop{.id = util::PopId{static_cast<std::uint32_t>(i)},
                        .metro = m.id,

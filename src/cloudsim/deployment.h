@@ -50,7 +50,8 @@ struct UserGroup {
 
 struct DeploymentConfig {
   std::uint64_t seed = 7;
-  // Number of PoPs; placed in the highest-weight metros.
+  // Number of PoPs; placed in the highest-weight metros, one per metro, so
+  // it must lie in [1, internet.metros.size()].
   std::size_t pop_count = 24;
   // Number of distinct transit providers (tier-1s the cloud buys from).
   std::size_t transit_provider_count = 3;
@@ -104,7 +105,9 @@ class Deployment {
 
 // Inserts the cloud into `internet` (mutating its AS graph) and returns the
 // deployment. PoPs are placed in the top-weight metros; sessions are created
-// with co-located networks; UGs are derived from stub ASes.
+// with co-located networks; UGs are derived from stub ASes. Throws
+// std::invalid_argument, leaving `internet` untouched, when config.pop_count
+// is 0 or exceeds the number of metros.
 [[nodiscard]] Deployment BuildDeployment(topo::Internet& internet,
                                          const DeploymentConfig& config);
 

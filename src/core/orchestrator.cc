@@ -4,7 +4,6 @@
 #include "core/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -19,8 +18,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Orchestrator telemetry (README "Observability"). Counter values are
-// workload-determined — identical at any thread count, since the greedy
-// schedule itself is (see the fixed-order reduction notes below).
+// workload-determined: the greedy pass runs serially and in a fixed order.
 struct OrchestratorMetrics {
   obs::Counter& celf_evals =
       obs::Metrics().GetCounter("orchestrator.celf.evaluations");
@@ -214,17 +212,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // ComputeExpectationFromCandidates would derive for that option. The model
   // is fixed for the whole greedy pass, so fill once per call.
   std::vector<double> eff_rtt(flat_.EntryCount());
-  util::ParallelFor(
-      config_.num_threads, 0, inst.peering_count, /*grain=*/8,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t g = chunk_begin; g < chunk_end; ++g) {
-          for (std::size_t i = flat_.offset[g]; i < flat_.offset[g + 1]; ++i) {
-            const IngressOption* opt = flat_.option[i];
-            eff_rtt[i] = model_.MeasuredRtt(flat_.ug[i], opt->peering)
-                             .value_or(opt->rtt_ms);
-          }
-        }
-      });
+  for (std::size_t i = 0; i < eff_rtt.size(); ++i) {
+    const IngressOption* opt = flat_.option[i];
+    eff_rtt[i] =
+        model_.MeasuredRtt(flat_.ug[i], opt->peering).value_or(opt->rtt_ms);
+  }
 
   // Cross-round seed-marginal cache. A peering's *seed* marginal (evaluated
   // against an empty in-progress prefix) depends only on base_best over its
@@ -293,6 +285,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // committed candidates, so the probe asks at most 2k preference questions:
   // does a candidate beat opt, and which candidates does opt beat. Survivors
   // then pass D_reuse and are summed in append order, as the walk sums them.
+  std::vector<std::pair<double, double>> live;  // survivors as (km, rtt)
   auto probe = [&](const UgState& s, std::uint32_t u, const IngressOption* opt,
                    double rtt, std::uint16_t tier) {
     if (s.cands.empty()) return rtt;
@@ -300,9 +293,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     const bool opt_in = tier == best;
     const bool prefs = opt_in && model_.HasPreferences(u);
     bool opt_beaten = false;
-    // Survivors as (km, rtt); thread_local because the seeding scan probes
-    // on pool workers.
-    thread_local std::vector<std::pair<double, double>> live;
     live.clear();
     for (const Cand& c : s.cands) {
       if (c.tier != best) continue;
@@ -361,14 +351,14 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         }
       }
     }
-    metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
+    metrics.celf_expectation_fallbacks.Add();
     return probe(s, u, opt, rtt, tier_of(attr));
   };
 
   // Eq. 1 marginal benefit of adding `gid` under `attr` to the in-progress
   // prefix.
   auto marginal_of = [&](util::PeeringId gid, const SessionAttr& attr) {
-    metrics.celf_evals.Add();  // sharded: safe from the concurrent scan
+    metrics.celf_evals.Add();
     const bool nx = attr.community == bgpsim::Community::kNoExportUp;
     double delta = 0.0;
     const std::size_t lo = flat_.offset[gid.value()];
@@ -421,64 +411,64 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     std::priority_queue<Scored> heap;
     std::uint64_t round = 0;
     {
-      // Seed the CELF heap. Each peering's marginal touches only read-only
-      // shared state (base_best / cur_e / cands / the routing model), so the
-      // scan is embarrassingly parallel; the heap is then built serially in
-      // peering order, making the result bit-identical to the serial scan.
-      // Only dirty peerings are re-evaluated — the rest reuse the cached
-      // marginal from the previous round, which a fresh evaluation would
-      // reproduce bit-for-bit.
+      // Seed the CELF heap in peering order. Only dirty peerings are
+      // re-evaluated — the rest reuse the cached marginal from the previous
+      // round, which a fresh evaluation would reproduce bit-for-bit.
       std::uint64_t hits = 0;
       std::uint64_t invalidations = 0;
-      for (std::size_t g = 0; g < inst.peering_count; ++g) {
+      for (std::uint32_t g = 0; g < inst.peering_count; ++g) {
         if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-        if (!peering_up_[g]) continue;  // down: not a candidate at all
-        if (seed_dirty[g]) {
-          ++invalidations;
-        } else {
+        // Down sessions (SetPeeringAvailable) are never evaluated, pushed or
+        // advertised — in the cached AND the audit pass alike, so the two
+        // see the same world.
+        if (!peering_up_[g]) continue;
+        const util::PeeringId gid{g};
+        if (!seed_dirty[g]) {
           ++hits;
+        } else {
+          ++invalidations;
+          // Cached-seed pruning: the cached value upper-bounds the fresh one
+          // (see seed_evaluated above), so ≤ 0 means the peering's UGs hold
+          // no improvable term — skip.
+          if (seed_evaluated[g] && seed_delta[g] <= 0.0) {
+            metrics.celf_pruned_seed_evals.Add();
+            if (config_.catchment_audit) {
+              metrics.celf_pruned_audit_checks.Add();
+              config_.catchment_audit(gid, marginal_of(gid, SessionAttr{}));
+            }
+          } else {
+            seed_delta[g] = marginal_of(gid, SessionAttr{});
+          }
+          if (aspace.enable_no_export) {
+            if (seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
+              metrics.celf_pruned_seed_evals.Add();
+              if (config_.catchment_audit) {
+                metrics.celf_pruned_audit_checks.Add();
+                config_.catchment_audit(
+                    gid, marginal_of(gid, variants[nx_variant]));
+              }
+            } else {
+              seed_delta_nx[g] = marginal_of(gid, variants[nx_variant]);
+            }
+          }
+          seed_evaluated[g] = 1;
+        }
+        if (seed_delta[g] > 0.0) {
+          // Every non-no-export variant shares the plain seed marginal:
+          // against an empty prefix each UG's trial list is the probed
+          // option alone, whose tiered expectation is its effective RTT
+          // regardless of prepend level or lower-pref.
+          for (std::uint32_t v = 0; v < variants.size(); ++v) {
+            if (aspace.enable_no_export && v == nx_variant) continue;
+            heap.push(Scored{seed_delta[g], round, gid, v});
+          }
+        }
+        if (aspace.enable_no_export && seed_delta_nx[g] > 0.0) {
+          heap.push(Scored{seed_delta_nx[g], round, gid, nx_variant});
         }
       }
       metrics.celf_cache_hits.Add(hits);
       metrics.celf_cache_invalidations.Add(invalidations);
-      util::ParallelFor(
-          config_.num_threads, 0, inst.peering_count, /*grain=*/8,
-          [&](std::size_t chunk_begin, std::size_t chunk_end) {
-            for (std::size_t g = chunk_begin; g < chunk_end; ++g) {
-              if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-              // Down sessions (SetPeeringAvailable) are never evaluated or
-              // advertised — in the cached AND the audit pass alike, so the
-              // two see the same world.
-              if (!peering_up_[g]) continue;
-              if (!seed_dirty[g]) continue;  // cache hit
-              const util::PeeringId gid{static_cast<std::uint32_t>(g)};
-              // Cached-seed pruning: the cached value upper-bounds the fresh
-              // one (see seed_evaluated above), so ≤ 0 means the peering's
-              // UGs hold no improvable term — skip.
-              if (seed_evaluated[g] && seed_delta[g] <= 0.0) {
-                metrics.celf_pruned_seed_evals.Add();
-                if (config_.catchment_audit) {
-                  metrics.celf_pruned_audit_checks.Add();
-                  config_.catchment_audit(gid, marginal_of(gid, SessionAttr{}));
-                }
-              } else {
-                seed_delta[g] = marginal_of(gid, SessionAttr{});
-              }
-              if (aspace.enable_no_export) {
-                if (seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
-                  metrics.celf_pruned_seed_evals.Add();
-                  if (config_.catchment_audit) {
-                    metrics.celf_pruned_audit_checks.Add();
-                    config_.catchment_audit(
-                        gid, marginal_of(gid, variants[nx_variant]));
-                  }
-                } else {
-                  seed_delta_nx[g] = marginal_of(gid, variants[nx_variant]);
-                }
-              }
-              seed_evaluated[g] = 1;
-            }
-          });
       std::fill(seed_dirty.begin(), seed_dirty.end(),
                 static_cast<std::uint8_t>(0));
       if (use_cross_cache && p == 0) {
@@ -494,24 +484,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         std::fill(peering_dirty_ext_.begin(), peering_dirty_ext_.end(),
                   static_cast<std::uint8_t>(0));
         dirty_ug_count_ = 0;
-      }
-      for (std::uint32_t g = 0; g < inst.peering_count; ++g) {
-        if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-        if (!peering_up_[g]) continue;  // down sessions never enter the heap
-        if (seed_delta[g] > 0.0) {
-          // Every non-no-export variant shares the plain seed marginal:
-          // against an empty prefix each UG's trial list is the probed
-          // option alone, whose tiered expectation is its effective RTT
-          // regardless of prepend level or lower-pref.
-          for (std::uint32_t v = 0; v < variants.size(); ++v) {
-            if (aspace.enable_no_export && v == nx_variant) continue;
-            heap.push(Scored{seed_delta[g], round, util::PeeringId{g}, v});
-          }
-        }
-        if (aspace.enable_no_export && seed_delta_nx[g] > 0.0) {
-          heap.push(
-              Scored{seed_delta_nx[g], round, util::PeeringId{g}, nx_variant});
-        }
       }
     }
 

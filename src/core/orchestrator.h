@@ -56,11 +56,11 @@ struct OrchestratorConfig {
   double learning_abs_epsilon_ms = 1e-3;
   std::size_t learning_patience = 2;
 
-  // Worker threads for the embarrassingly parallel evaluation loops (the
-  // CELF seeding scan of ComputeConfig and the per-UG loop of Predict).
-  // 0 = hardware_concurrency(); 1 forces the serial code path. Results are
-  // bit-identical at any value: the parallel paths compute per-index terms
-  // independently and reduce them serially in fixed index order.
+  // Worker threads for Predict's per-UG loop (PredictBenefit), the one
+  // orchestrator loop where threads pay. 0 = hardware_concurrency(); 1 runs
+  // it serially. Results are bit-identical at any value: per-UG terms are
+  // computed independently and reduced in fixed UG order. ComputeConfig
+  // always runs serially.
   std::size_t num_threads = 0;
 
   // Advertisement variants ComputeConfig may pick (default: legacy binary).
@@ -71,9 +71,9 @@ struct OrchestratorConfig {
   // only decreases across prefix rounds, so the fresh marginal is bounded
   // above by the cached one and could never enter the heap. When set, every
   // pruned seed evaluation ALSO runs the skipped marginal and reports it
-  // here so tests can assert it is ≤ 0. Called concurrently from the seeding
-  // scan's worker threads — the hook must be thread-safe. The extra audit
-  // evaluations count toward orchestrator.celf.evaluations.
+  // here so tests can assert it is ≤ 0. Called on the thread running
+  // ComputeConfig, in peering order. The extra audit evaluations count
+  // toward orchestrator.celf.evaluations.
   std::function<void(util::PeeringId, double fresh_marginal)> catchment_audit;
 
   // Cross-CALL seed cache (DESIGN.md §15): carry the round-0 seed marginals

@@ -1,6 +1,6 @@
 // Fixed-size, work-stealing-free thread pool plus a deterministic
-// ParallelFor used by the orchestrator's and evaluators' embarrassingly
-// parallel loops.
+// ParallelFor, used where threads measurably pay: core::PredictBenefit's
+// per-UG loop and workload::GenerateTrace.
 //
 // Design constraints (see DESIGN.md's determinism rule — a seed reproduces
 // every experiment bit-for-bit, at any thread count):

@@ -83,6 +83,27 @@ TEST_F(DeploymentTest, AccessorsRejectInvalidIds) {
   EXPECT_THROW((void)w_.deployment->ug(util::UgId{999999}), std::out_of_range);
 }
 
+TEST(BuildDeploymentTest, PopCountMustFitTheMetroCatalog) {
+  topo::InternetConfig icfg;
+  icfg.seed = 3;
+  icfg.tier1_count = 4;
+  icfg.transit_count = 12;
+  icfg.regional_count = 30;
+  icfg.stub_count = 60;
+  topo::Internet internet = topo::GenerateInternet(icfg);
+  ASSERT_EQ(internet.metros.size(), 45u);
+  const std::size_t ases = internet.graph.size();
+  for (const std::size_t bad :
+       {std::size_t{0}, std::size_t{46}, std::size_t{1} << 40}) {
+    EXPECT_THROW((void)BuildDeployment(internet, {.pop_count = bad}),
+                 std::invalid_argument)
+        << "pop_count " << bad;
+    EXPECT_EQ(internet.graph.size(), ases) << "a rejected build added ASes";
+  }
+  const Deployment all = BuildDeployment(internet, {.pop_count = 45});
+  EXPECT_EQ(all.pops().size(), 45u);
+}
+
 class IngressTest : public ::testing::Test {
  protected:
   void SetUp() override { w_ = test::MakeWorld(); }

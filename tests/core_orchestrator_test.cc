@@ -6,6 +6,7 @@
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
+#include "obs/metrics.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -157,9 +158,7 @@ TEST_F(OrchestratorTest, ZeroBudgetYieldsEmptyConfig) {
 }
 
 TEST_F(OrchestratorTest, ComputeConfigIdenticalAcrossThreadCounts) {
-  // The parallel CELF seeding must be byte-identical to the serial path:
-  // per-peering marginals are computed independently and committed to the
-  // heap serially in peering order.
+  // num_threads governs only Predict; the greedy pass must not depend on it.
   auto run = [&](std::size_t threads) {
     auto c = Cfg(6);
     c.num_threads = threads;
@@ -176,6 +175,20 @@ TEST_F(OrchestratorTest, ComputeConfigIdenticalAcrossThreadCounts) {
           << "prefix " << p << " at " << t << " threads";
     }
   }
+}
+
+TEST_F(OrchestratorTest, ComputeConfigNeverEntersThreadPool) {
+  // CELF's seeding scan gains nothing from threads, so ComputeConfig runs
+  // serially whatever num_threads says.
+  const obs::Counter& pf_calls =
+      obs::Metrics().GetCounter("threadpool.parallel_for.calls");
+  auto c = Cfg(6);
+  c.num_threads = 8;
+  Orchestrator orch{inst_, c};
+  const std::uint64_t before = pf_calls.Value();
+  const auto cfg = orch.ComputeConfig();
+  ASSERT_GT(cfg.PrefixCount(), 0u);
+  EXPECT_EQ(pf_calls.Value(), before);
 }
 
 TEST_F(OrchestratorTest, PredictBitIdenticalAcrossThreadCounts) {

@@ -84,7 +84,7 @@ TEST_F(ObsIntegrationTest, MetricsCaptureLearningRun) {
   EXPECT_GT(counters.At("model.preferences_learned").AsNumber(), 0.0);
   EXPECT_GT(counters.At("evaluator.predict.calls").AsNumber(), 0.0);
   EXPECT_GT(counters.At("bgpsim.propagations").AsNumber(), 0.0);
-  // The parallel seeding scan ran through the pool.
+  // Predict's per-UG loop ran through the pool.
   EXPECT_GT(counters.At("threadpool.parallel_for.calls").AsNumber(), 0.0);
 
   // The latest iteration's learning telemetry agrees with the run's actual
