@@ -174,9 +174,9 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // marginal evaluation costs O(|cands|) at most, never an intersection
   // walk or a from-scratch Eq. 2 evaluation.
   //  - cands: the UG's compliant options among `sessions`, in commit order,
-  //    each with its effective RTT, its (lower-pref, prepend) tier and
-  //    whether another candidate of the best tier present is known-preferred
-  //    over it (RoutingModel::Prefers).
+  //    each with its effective RTT, its RoutingModel::PrefIndex, its
+  //    (lower-pref, prepend) tier and whether another candidate of the best
+  //    tier present is known-preferred over it (RoutingModel::PrefersAt).
   //  - sum, min_km, max_km: running aggregates over the raw (exclusion-free)
   //    list. The Eq. 2 mean of a grown-by-one list is (sum + rtt) / (k + 1)
   //    whenever neither exclusion can fire, which the distance spread and
@@ -187,7 +187,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   struct Cand {
     double rtt;
     double km;
-    util::PeeringId peering;
+    std::uint32_t pref;
     std::uint16_t tier;
     bool dominated;
   };
@@ -207,15 +207,19 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         (a.community == bgpsim::Community::kLowerPref ? 256 : 0) + a.prepend);
   };
 
-  // Effective single-candidate RTT per flat-index entry: the measured RTT
-  // when the model has one, else the instance estimate — exactly the value
+  // Per flat-index entry: the model's index of the option's peering for the
+  // UG, so every preference question below is one RoutingModel::PrefersAt
+  // bit test, and the effective single-candidate RTT — the measured RTT when
+  // the model has one, else the instance estimate, exactly the value
   // ComputeExpectationFromCandidates would derive for that option. The model
   // is fixed for the whole greedy pass, so fill once per call.
+  std::vector<std::uint32_t> pref_idx(flat_.EntryCount());
   std::vector<double> eff_rtt(flat_.EntryCount());
   for (std::size_t i = 0; i < eff_rtt.size(); ++i) {
     const IngressOption* opt = flat_.option[i];
+    pref_idx[i] = model_.PrefIndex(flat_.ug[i], opt->peering);
     eff_rtt[i] =
-        model_.MeasuredRtt(flat_.ug[i], opt->peering).value_or(opt->rtt_ms);
+        model_.MeasuredRttAt(flat_.ug[i], pref_idx[i]).value_or(opt->rtt_ms);
   }
 
   // Cross-round seed-marginal cache. A peering's *seed* marginal (evaluated
@@ -277,18 +281,20 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     metrics.celf_cross_seed_invalidations.Add(cross_invalidations);
   }
 
-  // Eq. 2 mean of cands + opt announced at `tier` (kInf when unusable),
-  // exactly as ComputeExpectationAttributed evaluates it on the whole list
-  // (ComputeExpectationFromCandidates when every tier is 0), without
-  // mutating state. Only candidates of the best tier present survive
-  // tiering. Among those, the stored flags already settle dominance between
-  // committed candidates, so the probe asks at most 2k preference questions:
-  // does a candidate beat opt, and which candidates does opt beat. Survivors
-  // then pass D_reuse and are summed in append order, as the walk sums them.
+  // Eq. 2 mean of cands + flat entry i's option (opt) announced at `tier`
+  // (kInf when unusable), exactly as ComputeExpectationAttributed evaluates
+  // it on the whole list (ComputeExpectationFromCandidates when every tier
+  // is 0), without mutating state. Only candidates of the best tier present
+  // survive tiering. Among those, the stored flags already settle dominance
+  // between committed candidates, so the probe asks at most 2k preference
+  // bit tests: does a candidate beat opt, and which candidates does opt
+  // beat. Survivors then pass D_reuse and are summed in append order, as the
+  // walk sums them.
   std::vector<std::pair<double, double>> live;  // survivors as (km, rtt)
-  auto probe = [&](const UgState& s, std::uint32_t u, const IngressOption* opt,
-                   double rtt, std::uint16_t tier) {
-    if (s.cands.empty()) return rtt;
+  auto probe = [&](const UgState& s, std::size_t i, std::uint16_t tier) {
+    if (s.cands.empty()) return eff_rtt[i];
+    const std::uint32_t u = flat_.ug[i];
+    const std::uint32_t pref = pref_idx[i];
     const std::uint16_t best = std::min(s.best_tier, tier);
     const bool opt_in = tier == best;
     const bool prefs = opt_in && model_.HasPreferences(u);
@@ -297,14 +303,14 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     for (const Cand& c : s.cands) {
       if (c.tier != best) continue;
       if (prefs) {
-        opt_beaten = opt_beaten || model_.Prefers(u, c.peering, opt->peering);
-        if (!c.dominated && model_.Prefers(u, opt->peering, c.peering)) {
-          continue;
-        }
+        opt_beaten = opt_beaten || model_.PrefersAt(u, c.pref, pref);
+        if (!c.dominated && model_.PrefersAt(u, pref, c.pref)) continue;
       }
       if (!c.dominated) live.emplace_back(c.km, c.rtt);
     }
-    if (opt_in && !opt_beaten) live.emplace_back(opt->distance_km, rtt);
+    if (opt_in && !opt_beaten) {
+      live.emplace_back(flat_.option[i]->distance_km, eff_rtt[i]);
+    }
     if (live.empty()) return kInf;
     double min_km = live.front().first;
     for (const auto& c : live) min_km = std::min(min_km, c.first);
@@ -324,8 +330,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // and a distance spread within D_reuse keeps every candidate, so the mean
   // is a running sum away. Everything else counts a fallback and runs the
   // O(k) probe above.
-  auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
-                           double rtt, const SessionAttr& attr) {
+  auto expected_with = [&](std::size_t i, const SessionAttr& attr) {
+    const std::uint32_t u = flat_.ug[i];
+    const IngressOption* opt = flat_.option[i];
+    const double rtt = eff_rtt[i];
     const UgState& s = ugs[u];
     if (!wide || (attr.IsDefault() && !s.attributed)) {
       const std::size_t count = s.cands.size();
@@ -352,7 +360,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       }
     }
     metrics.celf_expectation_fallbacks.Add();
-    return probe(s, u, opt, rtt, tier_of(attr));
+    return probe(s, i, tier_of(attr));
   };
 
   // Eq. 1 marginal benefit of adding `gid` under `attr` to the in-progress
@@ -368,7 +376,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       // A no-export announcement never reaches out-of-cone UGs: exact zero
       // contribution, skip the probe.
       if (nx && !flat_.option[i]->in_peer_cone) continue;
-      const double new_e = expected_with(u, flat_.option[i], eff_rtt[i], attr);
+      const double new_e = expected_with(i, attr);
       const double old_best = std::min(base_best[u], cur_e[u]);
       const double new_best = std::min(base_best[u], new_e);
       delta += inst.ug_weight[u] * (old_best - new_best);
@@ -527,11 +535,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         // No-export never reaches out-of-cone UGs: their candidate state and
         // expectation are untouched by this commit.
         if (nx && !opt->in_peer_cone) continue;
-        cur_e[u] = expected_with(u, opt, eff_rtt[i], attr);
+        cur_e[u] = expected_with(i, attr);
         UgState& s = ugs[u];
         Cand added{.rtt = eff_rtt[i],
                    .km = opt->distance_km,
-                   .peering = opt->peering,
+                   .pref = pref_idx[i],
                    .tier = tier_of(attr),
                    .dominated = false};
         if (s.cands.empty() || added.tier < s.best_tier) {
@@ -541,10 +549,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         } else if (added.tier == s.best_tier && model_.HasPreferences(u)) {
           for (Cand& c : s.cands) {
             if (c.tier != added.tier) continue;
-            added.dominated = added.dominated ||
-                              model_.Prefers(u, c.peering, added.peering);
-            c.dominated = c.dominated ||
-                          model_.Prefers(u, added.peering, c.peering);
+            added.dominated =
+                added.dominated || model_.PrefersAt(u, c.pref, added.pref);
+            c.dominated =
+                c.dominated || model_.PrefersAt(u, added.pref, c.pref);
           }
         }
         if (s.cands.empty()) {
@@ -640,16 +648,15 @@ void Orchestrator::Absorb(
       // about intrinsic preference, and folding it in would contaminate the
       // model; with the legacy all-default space the filter never fires.
       const SessionAttr chosen_attr = config.AttrOf(p, *ingress);
+      // One merge walk: options and sessions are both sorted by peering id.
       candidates.clear();
+      std::size_t j = 0;
       for (const IngressOption& opt : inst.options[u]) {
-        const auto it =
-            std::lower_bound(sessions.begin(), sessions.end(), opt.peering);
-        if (it == sessions.end() || *it != opt.peering) continue;
-        if (attrs[static_cast<std::size_t>(it - sessions.begin())] !=
-            chosen_attr) {
-          continue;
+        while (j < sessions.size() && sessions[j] < opt.peering) ++j;
+        if (j == sessions.size()) break;
+        if (sessions[j] == opt.peering && attrs[j] == chosen_attr) {
+          candidates.push_back(opt.peering);
         }
-        candidates.push_back(opt.peering);
       }
       bool changed = model_.ObservePreference(u, *ingress, candidates);
       changed = model_.ObserveLatency(u, *ingress, obs.rtt_ms_of_ug.at(u),

@@ -8,31 +8,58 @@
 #include "obs/metrics.h"
 
 namespace painter::core {
-RoutingModel::RoutingModel(std::size_t ug_count)
-    : prefers_(ug_count), measured_(ug_count) {}
+RoutingModel::RoutingModel(std::size_t ug_count) : store_(ug_count) {}
+
+std::uint32_t RoutingModel::Intern(UgStore& s, util::PeeringId peering) {
+  const std::uint64_t key = std::uint64_t{peering.value()} << 32;
+  const auto it = std::lower_bound(s.index.begin(), s.index.end(), key);
+  if (it != s.index.end() && (*it >> 32) == peering.value()) {
+    return static_cast<std::uint32_t>(*it);
+  }
+  const auto n = static_cast<std::uint32_t>(s.rtt.size());
+  s.index.insert(it, key | n);
+  s.rtt.emplace_back();
+  if (n == std::size_t{s.words} * 64) {
+    // Column n does not fit: lay the rows out again one word wider.
+    std::vector<std::uint64_t> wider(std::size_t{n} * (s.words + 1), 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::copy_n(s.beats.begin() + r * s.words, s.words,
+                  wider.begin() + r * (s.words + 1));
+    }
+    s.beats = std::move(wider);
+    ++s.words;
+  }
+  s.beats.resize(std::size_t{n + 1} * s.words, 0);
+  return n;
+}
 
 bool RoutingModel::ObservePreference(
     std::uint32_t ug, util::PeeringId chosen,
     std::span<const util::PeeringId> candidates) {
   static obs::Counter& learned =
       obs::Metrics().GetCounter("model.preferences_learned");
-  auto& set = prefers_.at(ug);
+  UgStore& s = store_.at(ug);
   bool changed = false;
+  std::uint32_t ci = kNoIndex;
   for (util::PeeringId other : candidates) {
     if (other == chosen) continue;
-    const std::uint64_t key = PairKey(chosen, other);
-    const auto it = std::lower_bound(set.begin(), set.end(), key);
-    if (it == set.end() || *it != key) {
-      set.insert(it, key);
+    if (ci == kNoIndex) ci = Intern(s, chosen);
+    const std::uint32_t oi = Intern(s, other);
+    std::uint64_t& win = s.beats[std::size_t{ci} * s.words + oi / 64];
+    const std::uint64_t win_bit = std::uint64_t{1} << (oi % 64);
+    if (!(win & win_bit)) {
+      win |= win_bit;
+      ++s.pairs;
       ++preference_count_;
       learned.Add();
       changed = true;
     }
     // Observations are ground truth; retract any stale opposite belief.
-    const std::uint64_t opposite = PairKey(other, chosen);
-    const auto oit = std::lower_bound(set.begin(), set.end(), opposite);
-    if (oit != set.end() && *oit == opposite) {
-      set.erase(oit);
+    std::uint64_t& lose = s.beats[std::size_t{oi} * s.words + ci / 64];
+    const std::uint64_t lose_bit = std::uint64_t{1} << (ci % 64);
+    if (lose & lose_bit) {
+      lose &= ~lose_bit;
+      --s.pairs;
       --preference_count_;
       changed = true;
     }
@@ -45,32 +72,38 @@ bool RoutingModel::ObserveLatency(std::uint32_t ug, util::PeeringId ingress,
   static obs::Counter& observed =
       obs::Metrics().GetCounter("model.rtt_observations");
   observed.Add();
-  const auto [it, inserted] = measured_.at(ug).try_emplace(ingress.value(), rtt_ms);
-  if (inserted) return true;
+  UgStore& s = store_.at(ug);
+  std::optional<double>& stored = s.rtt[Intern(s, ingress)];
+  if (!stored) {
+    stored = rtt_ms;
+    return true;
+  }
   // A re-measurement within the noise floor keeps the stored value: storing
   // every sub-epsilon wiggle would re-dirty the cross-call seed cache each
   // round from ping jitter alone. epsilon 0 = any change counts (legacy).
-  if (std::abs(it->second - rtt_ms) <= epsilon_ms) return false;
-  it->second = rtt_ms;
+  if (std::abs(*stored - rtt_ms) <= epsilon_ms) return false;
+  stored = rtt_ms;
   return true;
 }
 
 bool RoutingModel::IsDominated(
     std::uint32_t ug, util::PeeringId candidate,
     std::span<const util::PeeringId> active) const {
-  if (prefers_.at(ug).empty()) return false;
+  if (store_.at(ug).pairs == 0) return false;
+  const std::uint32_t ci = PrefIndex(ug, candidate);
+  if (ci == kNoIndex) return false;
+  // No peering beats itself (the diagonal is never set), so `candidate`
+  // appearing in `active` cannot dominate it.
   for (util::PeeringId other : active) {
-    if (other != candidate && Prefers(ug, other, candidate)) return true;
+    if (PrefersAt(ug, PrefIndex(ug, other), ci)) return true;
   }
   return false;
 }
 
 std::optional<double> RoutingModel::MeasuredRtt(std::uint32_t ug,
                                                 util::PeeringId ingress) const {
-  const auto& m = measured_.at(ug);
-  const auto it = m.find(ingress.value());
-  if (it == m.end()) return std::nullopt;
-  return it->second;
+  (void)store_.at(ug);  // an out-of-range UG throws std::out_of_range
+  return MeasuredRttAt(ug, PrefIndex(ug, ingress));
 }
 
 void ExpectationParams::Validate() const {
@@ -94,24 +127,31 @@ PrefixExpectation ComputeExpectationFromCandidates(
   struct Cand {
     const IngressOption* opt;
     double rtt;
+    std::uint32_t pref;  // RoutingModel::PrefIndex of the option's peering
+    bool dominated;
   };
   // Reused scratch: the greedy inner loop calls this millions of times.
   thread_local std::vector<Cand> cands;
-  thread_local std::vector<util::PeeringId> active;
   cands.clear();
   for (const IngressOption* opt : candidates) {
-    const auto measured = model.MeasuredRtt(ug, opt->peering);
-    cands.push_back(Cand{opt, measured.value_or(opt->rtt_ms)});
+    const std::uint32_t pref = model.PrefIndex(ug, opt->peering);
+    const double rtt = model.MeasuredRttAt(ug, pref).value_or(opt->rtt_ms);
+    cands.push_back(Cand{opt, rtt, pref, false});
   }
 
   // Preference exclusion: drop candidates dominated by another candidate the
-  // UG is known to prefer.
-  if (cands.size() > 1) {
-    active.clear();
-    for (const Cand& c : cands) active.push_back(c.opt->peering);
-    std::erase_if(cands, [&](const Cand& c) {
-      return model.IsDominated(ug, c.opt->peering, active);
-    });
+  // UG is known to prefer. Dominance is judged against the full list, so
+  // every flag is set before any candidate is dropped.
+  if (cands.size() > 1 && model.HasPreferences(ug)) {
+    for (Cand& c : cands) {
+      for (const Cand& other : cands) {
+        if (model.PrefersAt(ug, other.pref, c.pref)) {
+          c.dominated = true;
+          break;
+        }
+      }
+    }
+    std::erase_if(cands, [](const Cand& c) { return c.dominated; });
     if (cands.empty()) return out;
   }
 

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/advertisement.h"
@@ -35,15 +34,19 @@
 
 namespace painter::core {
 
-// Thread-safety contract: the const methods (Prefers, IsDominated,
-// HasPreferences, MeasuredRtt, PreferenceCount) and the ComputeExpectation*
-// helpers below only read shared state, so any number of threads may call
-// them concurrently — the orchestrator's parallel evaluation loops rely on
-// this. The Observe* mutators require exclusive access (they run in the
-// serial Absorb phase of the learning loop, never concurrently with
-// evaluations). All evaluation scratch is thread_local.
+// Thread-safety contract: the const methods (Prefers, PrefersAt,
+// PrefIndex, IsDominated, HasPreferences, MeasuredRtt, MeasuredRttAt,
+// PreferenceCount) and the ComputeExpectation* helpers below only read
+// shared state, so any number of threads may call them concurrently —
+// PredictBenefit's parallel loop relies on this. The Observe* mutators
+// require exclusive access (they run in the serial Absorb phase of the
+// learning loop, never concurrently with evaluations). All evaluation
+// scratch is thread_local.
 class RoutingModel {
  public:
+  // PrefIndex's answer for a peering the model knows nothing about for a UG.
+  static constexpr std::uint32_t kNoIndex = UINT32_MAX;
+
   explicit RoutingModel(std::size_t ug_count);
 
   // Records an observed routing choice: `ug` entered via `chosen` while all
@@ -62,14 +65,35 @@ class RoutingModel {
   bool ObserveLatency(std::uint32_t ug, util::PeeringId ingress, double rtt_ms,
                       double epsilon_ms = 0.0);
 
+  // The UG's dense index of `peering` (kNoIndex when no observation named
+  // it). Indices are stable: they only grow, as the Observe* calls meet new
+  // peerings. One binary search over the UG's known peerings.
+  [[nodiscard]] std::uint32_t PrefIndex(std::uint32_t ug,
+                                        util::PeeringId peering) const {
+    const UgStore& s = store_[ug];
+    const std::uint64_t key = std::uint64_t{peering.value()} << 32;
+    const auto it = std::lower_bound(s.index.begin(), s.index.end(), key);
+    if (it == s.index.end() || (*it >> 32) != peering.value()) return kNoIndex;
+    return static_cast<std::uint32_t>(*it);
+  }
+
+  // Prefers over PrefIndex results: one bit test, inline because the CELF
+  // probe asks it up to 2k times per marginal term. kNoIndex on either side
+  // is never preferred.
+  [[nodiscard]] bool PrefersAt(std::uint32_t ug, std::uint32_t winner,
+                               std::uint32_t loser) const {
+    if (winner == kNoIndex || loser == kNoIndex) return false;
+    const UgStore& s = store_[ug];
+    return (s.beats[std::size_t{winner} * s.words + loser / 64] >>
+            (loser % 64)) & 1;
+  }
+
   // True if `ug` is known to prefer ingress `winner` over `loser`: an
   // observation put `ug` on `winner` while `loser` was also available, and
-  // no later observation retracted it. One binary search, inline because
-  // the CELF probe asks it up to 2k times per marginal term.
+  // no later observation retracted it.
   [[nodiscard]] bool Prefers(std::uint32_t ug, util::PeeringId winner,
                              util::PeeringId loser) const {
-    const auto& set = prefers_[ug];
-    return std::binary_search(set.begin(), set.end(), PairKey(winner, loser));
+    return PrefersAt(ug, PrefIndex(ug, winner), PrefIndex(ug, loser));
   }
 
   // True if some *other* candidate in `active` is known-preferred over
@@ -81,30 +105,46 @@ class RoutingModel {
   // orchestrator's incremental fast path keys off this: with no preferences,
   // the dominance exclusion can never fire for the UG.
   [[nodiscard]] bool HasPreferences(std::uint32_t ug) const {
-    return !prefers_[ug].empty();
+    return store_[ug].pairs != 0;
   }
 
   [[nodiscard]] std::optional<double> MeasuredRtt(std::uint32_t ug,
                                                   util::PeeringId ingress) const;
 
+  // MeasuredRtt over a PrefIndex result.
+  [[nodiscard]] std::optional<double> MeasuredRttAt(std::uint32_t ug,
+                                                    std::uint32_t i) const {
+    if (i == kNoIndex) return std::nullopt;
+    return store_[ug].rtt[i];
+  }
+
   // Total learned pairs, maintained as a running count by ObservePreference
   // (this is polled per learning iteration for a gauge; walking every UG's
-  // list there would be O(UGs) per poll).
+  // store there would be O(UGs) per poll).
   [[nodiscard]] std::size_t PreferenceCount() const {
     return preference_count_;
   }
 
  private:
-  // ug -> sorted flat list of (winner << 32 | loser) pair keys. A sorted
-  // vector beats a hash set here: the dominance probe (hot, called from the
-  // greedy loop's expectation fallback) is a binary search over a contiguous
-  // few-element array, and mutation happens only in the serial Absorb phase.
-  std::vector<std::vector<std::uint64_t>> prefers_;
-  static std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
-    return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
-  }
-  // ug -> ingress -> measured RTT.
-  std::vector<std::unordered_map<std::uint32_t, double>> measured_;
+  // One UG's learned state, dense over the peerings it has observed. A
+  // peering's index is its arrival order; `index` maps peering ids to it.
+  // Preferences are an n x n bit matrix rather than a set of pairs, so a
+  // dominance question costs one bit test however many pairs the UG has
+  // learned. Everything here grows only in the Observe* calls.
+  struct UgStore {
+    // Sorted (peering id << 32 | index) keys, one per known peering.
+    std::vector<std::uint64_t> index;
+    // Row w (`words` words from w * words) holds the indices w beats.
+    std::vector<std::uint64_t> beats;
+    // Measured RTT per index, when one was observed.
+    std::vector<std::optional<double>> rtt;
+    std::uint32_t words = 0;  // words per row of `beats`
+    std::uint32_t pairs = 0;  // set bits of `beats`
+  };
+  // Index of `peering` in `s`, appending a new row and column when it is new.
+  static std::uint32_t Intern(UgStore& s, util::PeeringId peering);
+
+  std::vector<UgStore> store_;
   std::size_t preference_count_ = 0;
 };
 
@@ -141,9 +181,9 @@ struct PrefixExpectation {
     const ExpectationParams& params);
 
 // Same evaluation from an already-intersected candidate list (the UG's
-// compliant options among the advertised sessions). Costs |candidates|
-// measured-RTT lookups plus, once the UG has learned preferences, up to
-// |candidates|^2 preference binary searches. This is the reference
+// compliant options among the advertised sessions). Costs one PrefIndex
+// binary search per candidate plus, once the UG has learned preferences, up
+// to |candidates|^2 PrefersAt bit tests. This is the reference
 // semantics of the orchestrator's O(|candidates|) incremental probe
 // (DESIGN.md §8), which keeps per-candidate dominance flags instead.
 [[nodiscard]] PrefixExpectation ComputeExpectationFromCandidates(

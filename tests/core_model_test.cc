@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/problem.h"
 #include "core/routing_model.h"
@@ -189,6 +197,142 @@ TEST(RoutingModelTest, HasPreferencesPerUg) {
   // Measured latencies alone don't constitute preferences.
   model.ObserveLatency(0, util::PeeringId{4}, 12.0);
   EXPECT_FALSE(model.HasPreferences(0));
+}
+
+// Drives the dense preference store and a pair-set reference through one
+// seeded sequence of Observe* calls and compares every query after every
+// call. The sequence mixes retractions and preference cycles, duplicate
+// candidates, a chosen ingress missing from its candidate list, peering ids
+// at the top of the 32-bit range, and more than 64 peerings for UG 0, so its
+// bit-matrix rows span several words.
+TEST(RoutingModelTest, DenseStoreMatchesPairSetOracle) {
+  using Pair = std::pair<std::uint32_t, std::uint32_t>;
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  // UG 0 draws from all 75 ids, UG 1 from a few low ids (cycles come fast),
+  // UG 2 from ids near 2^32-1.
+  std::vector<std::vector<std::uint32_t>> pools(3);
+  for (std::uint32_t v = 0; v < 70; ++v) pools[0].push_back(v);
+  pools[2] = {kMax, kMax - 1, kMax - 2, 1u << 31, 5};
+  for (std::uint32_t v : pools[2]) {
+    if (v != 5) pools[0].push_back(v);
+  }
+  pools[1] = {0, 1, 2, 3, 64};
+
+  RoutingModel model{3};
+  std::vector<std::set<Pair>> pairs(3);
+  std::vector<std::map<std::uint32_t, double>> rtts(3);
+  std::size_t count = 0;
+  std::size_t retractions = 0;
+  std::size_t duplicates = 0;
+  std::size_t chosen_absent = 0;
+  bool saw_cycle = false;
+
+  std::mt19937_64 rng{20231017};
+  const auto draw = [&](const std::vector<std::uint32_t>& pool) {
+    return pool[std::uniform_int_distribution<std::size_t>{
+        0, pool.size() - 1}(rng)];
+  };
+  const auto chance = [&](double p) {
+    return std::bernoulli_distribution{p}(rng);
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const auto ug = static_cast<std::uint32_t>(
+        std::uniform_int_distribution<int>{0, 2}(rng));
+    const auto& pool = pools[ug];
+    bool changed = false;
+    bool want = false;
+    std::vector<util::PeeringId> active;
+    if (chance(0.65)) {
+      const std::uint32_t chosen = draw(pool);
+      const auto size = std::uniform_int_distribution<std::size_t>{0, 8}(rng);
+      std::set<std::uint32_t> seen;
+      bool has_chosen = false;
+      for (std::size_t i = 0; i < size; ++i) {
+        // Drawn with replacement: duplicates are part of the sequence.
+        const std::uint32_t v = chance(0.7) && i == size / 2 ? chosen
+                                                             : draw(pool);
+        if (!seen.insert(v).second) ++duplicates;
+        has_chosen = has_chosen || v == chosen;
+        active.emplace_back(v);
+      }
+      if (!has_chosen && size > 0) ++chosen_absent;
+      changed = model.ObservePreference(ug, util::PeeringId{chosen}, active);
+      for (const util::PeeringId other : active) {
+        if (other.value() == chosen) continue;
+        if (pairs[ug].insert({chosen, other.value()}).second) {
+          ++count;
+          want = true;
+        }
+        if (pairs[ug].erase({other.value(), chosen}) != 0) {
+          --count;
+          ++retractions;
+          want = true;
+        }
+      }
+    } else {
+      const std::uint32_t ingress = draw(pool);
+      const double rtt = 10.0 + 0.5 * static_cast<double>(
+          std::uniform_int_distribution<int>{0, 6}(rng));
+      const double epsilon = chance(0.5) ? 0.0 : 1.0;
+      changed = model.ObserveLatency(ug, util::PeeringId{ingress}, rtt,
+                                     epsilon);
+      const auto [it, inserted] = rtts[ug].try_emplace(ingress, rtt);
+      if (inserted) {
+        want = true;
+      } else if (std::abs(it->second - rtt) > epsilon) {
+        it->second = rtt;
+        want = true;
+      }
+      for (int i = 0; i < 4; ++i) active.emplace_back(draw(pool));
+    }
+    ASSERT_EQ(changed, want) << "step " << step;
+    ASSERT_EQ(model.PreferenceCount(), count) << "step " << step;
+
+    for (std::uint32_t u = 0; u < 3; ++u) {
+      ASSERT_EQ(model.HasPreferences(u), !pairs[u].empty()) << "step " << step;
+      for (const std::uint32_t w : pools[0]) {
+        const auto rtt = model.MeasuredRtt(u, util::PeeringId{w});
+        const auto ref = rtts[u].find(w);
+        ASSERT_EQ(rtt.has_value(), ref != rtts[u].end()) << "step " << step;
+        if (rtt) {
+          ASSERT_EQ(*rtt, ref->second) << "step " << step;
+        }
+        for (const std::uint32_t l : pools[0]) {
+          ASSERT_EQ(model.Prefers(u, util::PeeringId{w}, util::PeeringId{l}),
+                    pairs[u].contains({w, l}))
+              << "step " << step << " ug " << u << " " << w << " > " << l;
+        }
+        bool dominated = false;
+        for (const util::PeeringId other : active) {
+          dominated = dominated || (other.value() != w &&
+                                    pairs[u].contains({other.value(), w}));
+        }
+        ASSERT_EQ(model.IsDominated(u, util::PeeringId{w}, active), dominated)
+            << "step " << step << " ug " << u << " candidate " << w;
+      }
+    }
+    for (const auto& [a, b] : pairs[1]) {
+      for (const std::uint32_t c : pools[1]) {
+        saw_cycle = saw_cycle || (pairs[1].contains({b, c}) &&
+                                  pairs[1].contains({c, a}));
+      }
+    }
+  }
+
+  // The sequence reached every case it is meant to cover.
+  EXPECT_GT(retractions, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(chosen_absent, 0u);
+  EXPECT_TRUE(saw_cycle);
+  std::size_t known = 0;
+  for (const std::uint32_t v : pools[0]) {
+    if (model.PrefIndex(0, util::PeeringId{v}) != RoutingModel::kNoIndex) {
+      ++known;
+    }
+  }
+  EXPECT_GT(known, 64u);
+  EXPECT_NE(model.PrefIndex(2, util::PeeringId{kMax}), RoutingModel::kNoIndex);
 }
 
 TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {

@@ -9,8 +9,10 @@
 #    tools/bench_compare.py. A phase slowing down by more than the tolerance
 #    fails the job, and so does any difference in the deterministic CELF
 #    work counters (orchestrator.celf.evaluations, celf.pruned.seed_evals,
-#    orchestrator.celf.expectation_fallbacks), which are exact at any
-#    thread count and on any host; the other counters stay informational.
+#    orchestrator.celf.expectation_fallbacks, orchestrator.celf.stale_reevals,
+#    orchestrator.celf.commits) or in the pairs the routing model learned
+#    (model.preferences_learned), which are exact at any thread count and on
+#    any host; the other counters stay informational.
 # 3. Builds and runs bench/fig6c_learning (which ends with one cached-seed
 #    pruned ComputeConfig at the 1200-stub Azure scale) and gates
 #    pruning.saved_frac = pruned / (evals + pruned) >= 0.30. That the pruned
@@ -83,7 +85,10 @@ else
   tools/bench_compare.py "$BASELINE" "$REPORT" --tolerance "$TOLERANCE" \
     --exact orchestrator.celf.evaluations \
     --exact celf.pruned.seed_evals \
-    --exact orchestrator.celf.expectation_fallbacks
+    --exact orchestrator.celf.expectation_fallbacks \
+    --exact orchestrator.celf.stale_reevals \
+    --exact orchestrator.celf.commits \
+    --exact model.preferences_learned
   echo "Perf check passed against $BASELINE."
 fi
 
