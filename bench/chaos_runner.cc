@@ -31,16 +31,7 @@
 //   chaos_runner               # seeds 1..50
 //   chaos_runner --seeds 200   # seeds 1..200
 //   chaos_runner --seed 17     # just seed 17 (repro mode)
-//   chaos_runner --shards 4    # loaded runs use the sharded engine
-//                              # (0 = classic serial engine, the default)
 //   chaos_runner --under_load [--seeds N] [--threads T] [--slo_p99_rtts X]
-//
-// With --shards N > 0 every loaded run replays through the sharded engine
-// (DESIGN.md §13) under the same fault plans — the invariant checks
-// must still come back clean — and the --under_load report additionally
-// carries the des.shard.* queue-depth/epoch-skew series for the first loaded
-// seed. Reports are compared against baselines only at the default
-// --shards 0, so the flag never perturbs the committed baselines.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -118,8 +109,7 @@ std::vector<double> InRtts(
 // The --under_load SLO harness: idle vs loaded detection latency per seed,
 // aggregated in RTTs. Returns the process exit status.
 int RunUnderLoadMode(std::uint64_t first_seed, std::uint64_t last_seed,
-                     std::size_t threads, std::size_t shards,
-                     double slo_p99_rtts) {
+                     std::size_t threads, double slo_p99_rtts) {
   obs::Metrics().ResetValues();
   obs::RunReport report{"chaos_under_load"};
   report.SetSeed(first_seed);
@@ -157,13 +147,7 @@ int RunUnderLoadMode(std::uint64_t first_seed, std::uint64_t last_seed,
     for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
       workload::ChaosLoadConfig cfg;
       cfg.num_threads = threads;
-      cfg.shards = shards;
-      if (seed == first_seed) {
-        cfg.timeseries = &timeseries;
-        // Per-shard DES telemetry (des.shard.* queue depth / epoch skew)
-        // only exists on the sharded path.
-        if (shards > 0) cfg.shard_timeseries = &timeseries;
-      }
+      if (seed == first_seed) cfg.timeseries = &timeseries;
       const workload::ChaosLoadResult r =
           workload::RunChaosUnderLoad(seed, {}, cfg);
       const std::vector<double> rtts = InRtts(r.invariants.detections);
@@ -261,7 +245,6 @@ int main(int argc, char** argv) {
   std::uint64_t last_seed = 50;
   bool under_load = false;
   std::size_t threads = 1;
-  std::size_t shards = 0;
   double slo_p99_rtts = 8.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
@@ -272,19 +255,16 @@ int main(int argc, char** argv) {
       under_load = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--slo_p99_rtts") == 0 && i + 1 < argc) {
       slo_p99_rtts = std::strtod(argv[++i], nullptr);
     } else {
       std::cerr << "usage: chaos_runner [--seeds N | --seed S] [--under_load] "
-                   "[--threads T] [--shards N] [--slo_p99_rtts X]\n";
+                   "[--threads T] [--slo_p99_rtts X]\n";
       return 64;
     }
   }
   if (under_load) {
-    return RunUnderLoadMode(first_seed, last_seed, threads, shards,
-                            slo_p99_rtts);
+    return RunUnderLoadMode(first_seed, last_seed, threads, slo_p99_rtts);
   }
 
   obs::Metrics().ResetValues();
@@ -332,10 +312,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
       if (last_seed != first_seed && seed % 5 != 0) continue;
       ++load_seeds;
-      workload::ChaosLoadConfig cfg;
-      cfg.shards = shards;
-      const workload::ChaosLoadResult r =
-          workload::RunChaosUnderLoad(seed, {}, cfg);
+      const workload::ChaosLoadResult r = workload::RunChaosUnderLoad(seed);
       load_flows += r.load_stats.started;
       load_trace_events += r.trace_events;
       total_checks += r.invariants.checks;

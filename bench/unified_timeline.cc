@@ -19,8 +19,6 @@
 // Usage:
 //   unified_timeline                     # full run (seed 7, 1 thread)
 //   unified_timeline --seed 11 --threads 4
-//   unified_timeline --shards 4          # sharded workload engine
-//                                        # (0 = classic serial timeline)
 //   unified_timeline --smoke             # small world + short trace
 #include <cstdint>
 #include <cstring>
@@ -52,20 +50,17 @@ std::uint64_t Fnv64(const std::string& bytes) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   std::size_t threads = 1;
-  std::size_t shards = 0;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
       std::cerr << "usage: unified_timeline [--seed S] [--threads N] "
-                   "[--shards N] [--smoke]\n";
+                   "[--smoke]\n";
       return 64;
     }
   }
@@ -86,10 +81,6 @@ int main(int argc, char** argv) {
   timeline::UnifiedTimelineConfig cfg;
   cfg.seed = seed;
   cfg.num_threads = threads;
-  // Like --threads, --shards is deliberately NOT recorded in the report:
-  // results are identical across all shard counts >= 1 (tests pin this), and
-  // --shards 0 keeps the classic serial timeline — the committed baseline.
-  cfg.shards = shards;
   if (smoke) {
     cfg.stubs = 80;
     cfg.pops = 5;

@@ -8,9 +8,9 @@
 // DeltaBus, so the ControlPlaneService learns about the change the same way
 // it would from real telemetry — never by peeking at this object.
 //
-// Used by the control-plane bench/tests as the ground-truth churn source;
-// production-shaped runs get the same deltas from the workload engine,
-// LoadTracker, and faultsim producers instead.
+// Used by the control-plane bench/tests and perfbench as the ground-truth
+// churn source. It is the only in-tree producer: no data-path component
+// publishes on the bus.
 #pragma once
 
 #include <cstdint>

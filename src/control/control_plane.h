@@ -5,8 +5,8 @@
 // feedback loop on the unified DES timeline:
 //
 //   producers ──deltas──▶ DeltaBus ──wake──▶ translate ──▶ targeted
-//   (workload, faults,              (this      batch        invalidation of
-//    LoadTracker, churn)            service)                incremental CELF
+//   (churn; see                     (this      batch        invalidation of
+//    delta_bus.h)                   service)                incremental CELF
 //                                      │
 //                                      ▼ trigger (urgency / dirtiness,
 //                                        damped by cooldown)

@@ -1,12 +1,13 @@
 // Typed streaming-delta bus between telemetry producers and the control
 // plane (DESIGN.md §15).
 //
-// Producers (workload ticks, the LoadTracker, faultsim scenarios, churn
-// environments) publish small typed records — "UG latency moved", "session
+// Producers publish small typed records — "UG latency moved", "session
 // went down", "PoP crossed a utilization band" — as they happen on the DES
-// timeline. The ControlPlaneService drains the bus at its wake events and
-// translates each batch into targeted invalidation of the orchestrator's
-// incremental CELF state.
+// timeline. The in-tree producer is ChurnEnvironment (kUgLatency,
+// kSession); kPopLoad, kTopology and kCapacity have none yet, so only
+// tests publish them. The ControlPlaneService drains the bus at its wake
+// events and translates each batch into targeted invalidation of the
+// orchestrator's incremental CELF state.
 //
 // Contract:
 //  - Single-threaded, DES-ordered: publishes and drains happen from simulator
@@ -32,14 +33,14 @@ namespace painter::control {
 
 // What kind of world change a record describes. The `id` and `value` fields
 // of Delta are interpreted per kind:
-//   kUgLatency — id = UG (or tunnel, for TM-side producers); value = |Δrtt|
+//   kUgLatency — id = UG; value = |Δrtt|
 //                in ms since the producer's last published measurement.
 //   kPopLoad   — id = PoP index; value = current utilization (offered/cap).
 //   kSession   — id = peering session; value = 1 down, 0 back up.
 //   kTopology  — id = producer-scoped target (tunnel/PoP of a fault plan);
 //                value = 1 fault onset, 0 cleared.
 //   kCapacity  — id = PoP index; value = current utilization, published on
-//                coarse band crossings (LoadTracker::PublishCapacityDeltas).
+//                coarse utilization band crossings.
 enum class DeltaKind : std::uint8_t {
   kUgLatency = 0,
   kPopLoad,

@@ -30,10 +30,6 @@ namespace painter::obs {
 class TimeseriesRegistry;
 }  // namespace painter::obs
 
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
-
 namespace painter::faultsim {
 
 struct ScenarioTunnel {
@@ -74,15 +70,6 @@ struct FaultScenarioSpec {
                      const std::vector<int>& tunnel_pop)>
       attach;
 
-  // Optional event-loop driver, replacing the scenario's own
-  // `sim.Run(run_for_s)`. The sharded workload replay attaches here: it must
-  // run the scenario simulator and its shard simulators in epoch lock-step,
-  // so no plain Run call can drive it. The hook must advance `sim` to
-  // exactly `run_for_s` seconds; it runs after `attach` and after every
-  // fault/flow/telemetry event is scheduled. Null keeps the classic serial
-  // loop (and the run byte-identical).
-  std::function<void(netsim::Simulator& sim, double run_for_s)> drive;
-
   // Optional streaming telemetry. When set, the scenario registers sampled
   // series for the edge (chosen tunnel, probed-up count), appends a
   // switchover event series after the run, and starts the registry's
@@ -91,13 +78,6 @@ struct FaultScenarioSpec {
   // null registry leaves the run's event sequence bit-identical (sampling
   // events are pure reads but do occupy queue slots).
   obs::TimeseriesRegistry* timeseries = nullptr;
-
-  // Optional control-plane feed (DESIGN.md §15). When set, every plan
-  // event's onset publishes a kTopology delta (id = the event's target,
-  // value = 1) at the moment it takes effect, and its clear publishes
-  // value = 0 — the same instants the flight recorder journals. The bus
-  // must outlive the run; null publishes nothing.
-  control::DeltaBus* delta_bus = nullptr;
 };
 
 struct FaultScenarioResult {

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 
 namespace painter::netsim {
 namespace {
@@ -40,7 +39,7 @@ ShardedSimulator::ShardedSimulator(Simulator& control, const Config& config)
 }
 
 void ShardedSimulator::RecordBarrier(
-    SimTime boundary_us, const std::vector<std::uint64_t>& executed_before) {
+    const std::vector<std::uint64_t>& executed_before) {
   ++stats_.epochs;
   std::uint64_t lo = ~std::uint64_t{0};
   std::uint64_t hi = 0;
@@ -56,15 +55,6 @@ void ShardedSimulator::RecordBarrier(
   const std::uint64_t skew = shards_.empty() ? 0 : hi - lo;
   stats_.total_epoch_skew_events += skew;
   stats_.max_epoch_skew_events = std::max(stats_.max_epoch_skew_events, skew);
-  if (config_.timeseries != nullptr) {
-    auto& ts = *config_.timeseries;
-    ts.Append("des.shard.epoch_skew_events", boundary_us,
-              static_cast<double>(skew));
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      ts.Append("des.shard" + std::to_string(i) + ".queue_depth", boundary_us,
-                static_cast<double>(shards_[i]->PendingEvents()));
-    }
-  }
 }
 
 void ShardedSimulator::Run(SimTime until_us, const Hook& prepare,
@@ -85,7 +75,7 @@ void ShardedSimulator::Run(SimTime until_us, const Hook& prepare,
       shards_[i]->RunUntilUs(b);
     }
     if (merge) merge(epoch, b);
-    RecordBarrier(b, executed_before);
+    RecordBarrier(executed_before);
     if (b == grid_b) ++next_epoch_;
   }
 }

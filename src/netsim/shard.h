@@ -42,10 +42,6 @@
 
 #include "netsim/sim.h"
 
-namespace painter::obs {
-class TimeseriesRegistry;
-}  // namespace painter::obs
-
 namespace painter::netsim {
 
 class ShardedSimulator {
@@ -53,11 +49,6 @@ class ShardedSimulator {
   struct Config {
     std::size_t shards = 1;  // power of two in [1, 256]
     SimTime epoch_us = 0;    // barrier period; must be > 0
-    // Optional per-shard queue-depth / epoch-skew series (des.shard<i>.*,
-    // des.shard.*), appended at epoch barriers. Do NOT attach a registry
-    // whose export is byte-compared across shard counts: the per-shard key
-    // set depends on N by construction. Null records nothing.
-    obs::TimeseriesRegistry* timeseries = nullptr;
   };
 
   struct Stats {
@@ -104,8 +95,7 @@ class ShardedSimulator {
   void ExportMetrics() const;
 
  private:
-  void RecordBarrier(SimTime boundary_us,
-                     const std::vector<std::uint64_t>& executed_before);
+  void RecordBarrier(const std::vector<std::uint64_t>& executed_before);
 
   Simulator* control_;
   Config config_;

@@ -121,7 +121,7 @@ class Simulator {
   [[nodiscard]] std::size_t ExecutedEvents() const { return executed_; }
   [[nodiscard]] bool Empty() const { return heap_.empty(); }
   // Events currently queued — the shard coordinator samples this at every
-  // epoch barrier for the des.shard<i>.queue_depth series.
+  // epoch barrier for its max_queue_depth stat.
   [[nodiscard]] std::size_t PendingEvents() const { return heap_.size(); }
 
  private:

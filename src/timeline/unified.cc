@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "cloudsim/deployment.h"
@@ -25,7 +24,7 @@
 #include "util/hashmix.h"
 #include "util/rng.h"
 #include "workload/load.h"
-#include "workload/sharded_engine.h"
+#include "workload/engine.h"
 #include "workload/trace.h"
 
 namespace painter::timeline {
@@ -216,7 +215,6 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   workload::EngineConfig wcfg;
   wcfg.tick_s = config.tick_s;
   wcfg.timeseries = config.timeseries;
-  wcfg.delta_bus = config.delta_bus;
   wcfg.on_arrival = [&](const workload::FlowEvent& ev) {
     const double bytes = static_cast<double>(ev.bytes);
     const std::size_t bucket = std::min(
@@ -240,38 +238,18 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
       total_stale_bytes += bytes;
     }
   };
-  std::optional<workload::WorkloadEngine> engine;
-  std::optional<workload::ShardedWorkloadReplay> replay;
-  if (config.shards == 0) {
-    engine.emplace(sim, edge, tunnel_pop, load, policy, trace, wcfg);
-  } else {
-    workload::ShardedReplayConfig scfg;
-    scfg.shards = config.shards;
-    scfg.engine = wcfg;
-    replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
-                   std::move(scfg));
-  }
+  workload::WorkloadEngine engine{sim, edge, tunnel_pop, load, policy, trace,
+                                  wcfg};
 
   edge.Start();
-  if (engine.has_value()) {
-    engine->Start();
-  } else {
-    replay->Start();
-  }
+  engine.Start();
   ttl.Start(horizon_s);
   rounds.Start();
   if (config.timeseries != nullptr) {
     ttl.RegisterTimeseries(*config.timeseries);
     netsim::StartSampling(sim, *config.timeseries, horizon_s);
   }
-  if (engine.has_value()) {
-    sim.Run(horizon_s);
-  } else {
-    // The replay runs the control simulator and the shard simulators in
-    // epoch lock-step; on_arrival fires at barriers, in global trace order,
-    // against TTL/round state frozen at the tick boundary.
-    replay->Run(horizon_s);
-  }
+  sim.Run(horizon_s);
 
   // --- Reduce.
   for (std::size_t b = 0; b < curve_buckets; ++b) {
@@ -289,15 +267,9 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   result.stale_byte_frac =
       total_bytes > 0.0 ? total_stale_bytes / total_bytes : 0.0;
   result.trace_checksum = workload::TraceChecksum(trace);
-  result.workload = engine.has_value() ? engine->stats() : replay->stats();
+  result.workload = engine.stats();
   result.ttl = ttl.stats();
-  // Sharded mode: control events + epoch count. Per-shard tick-event counts
-  // depend on the partition, but the control timeline and the barrier count
-  // are pure functions of (config, horizon) — shard-count-invariant, so the
-  // canonical summary stays byte-identical across --shards values.
-  result.executed_events =
-      engine.has_value() ? sim.ExecutedEvents()
-                         : sim.ExecutedEvents() + replay->des().stats().epochs;
+  result.executed_events = sim.ExecutedEvents();
   result.resolver_count = resolvers.resolver_count;
   result.ug_count = instance.UgCount();
   return result;

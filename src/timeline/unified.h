@@ -29,16 +29,11 @@
 #include <vector>
 
 #include "dnssim/ttl_cache.h"
-#include "netsim/shard.h"
 #include "workload/engine.h"
 
 namespace painter::obs {
 class TimeseriesRegistry;
 }  // namespace painter::obs
-
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
 
 namespace painter::timeline {
 
@@ -47,14 +42,6 @@ struct UnifiedTimelineConfig {
   // Worker threads for trace generation and the orchestrator's parallel
   // loops. 0 = hardware concurrency. Results are identical at any value.
   std::size_t num_threads = 1;
-  // 0 = the classic single-simulator timeline (byte-identical to before the
-  // sharded engine existed). >= 1 = the sharded timeline (DESIGN.md §13):
-  // the simulator above becomes the control shard and the workload replays
-  // on `shards` shard-local simulators under epoch barriers. Results are
-  // identical for every value >= 1 (the property suite pins 1/2/4/8) but
-  // not to the serial path — the sharded engine makes its destination
-  // decision once per tick, not once per arrival.
-  std::size_t shards = 0;
 
   // Simulated-Internet world the advertisement rounds execute against.
   std::size_t stubs = 200;
@@ -91,12 +78,6 @@ struct UnifiedTimelineConfig {
   // run's horizon. The registry must outlive the call. Null records nothing
   // and leaves the result byte-identical.
   obs::TimeseriesRegistry* timeseries = nullptr;
-
-  // Optional control-plane feed: handed to the workload engine so its ticks
-  // publish load/latency/capacity deltas for an external
-  // control::ControlPlaneService. Null (the default) publishes nothing and
-  // leaves the run byte-identical.
-  control::DeltaBus* delta_bus = nullptr;
 };
 
 struct UnifiedTimelineResult {

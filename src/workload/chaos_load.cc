@@ -5,7 +5,6 @@
 #include "faultsim/fault_plan.h"
 #include "obs/timeseries.h"
 #include "util/hashmix.h"
-#include "workload/sharded_engine.h"
 
 namespace painter::workload {
 
@@ -51,32 +50,11 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
   ecfg.max_duration_s = 0.5 * spec.run_for_s;
 
   std::optional<WorkloadEngine> engine;
-  std::optional<ShardedWorkloadReplay> replay;
-  if (config.shards == 0) {
-    spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
-                      const std::vector<int>& tunnel_pop) {
-      engine.emplace(sim, edge, tunnel_pop, load, policy, trace, ecfg);
-      engine->Start();
-    };
-  } else {
-    // Sharded timeline: the scenario simulator becomes the control shard
-    // (probes, faults, scripted flows, telemetry) and the replay drives it
-    // plus its shard simulators in epoch lock-step, so the scenario's own
-    // event loop is replaced via the drive hook.
-    spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
-                      const std::vector<int>& tunnel_pop) {
-      ShardedReplayConfig rcfg;
-      rcfg.shards = config.shards;
-      rcfg.engine = ecfg;
-      rcfg.shard_timeseries = config.shard_timeseries;
-      replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
-                     std::move(rcfg));
-      replay->Start();
-    };
-    spec.drive = [&](netsim::Simulator&, double run_for_s) {
-      replay->Run(run_for_s);
-    };
-  }
+  spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
+                    const std::vector<int>& tunnel_pop) {
+    engine.emplace(sim, edge, tunnel_pop, load, policy, trace, ecfg);
+    engine->Start();
+  };
 
   const faultsim::FaultScenarioResult result =
       faultsim::RunFaultScenario(spec, plan);
@@ -91,8 +69,8 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
                                 d.rtt_s > 0.0 ? d.latency_s / d.rtt_s : 0.0);
     }
   }
-  if (engine.has_value() || replay.has_value()) {
-    out.load_stats = engine.has_value() ? engine->stats() : replay->stats();
+  if (engine.has_value()) {
+    out.load_stats = engine->stats();
     if (out.load_stats.down_picks > 0) {
       out.load_violations.push_back(
           "load: policy picked a perceived-down tunnel " +

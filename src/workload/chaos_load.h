@@ -5,8 +5,9 @@
 // two scripted flows in play; this wrapper re-runs the same (seed -> world,
 // seed -> plan) construction with a deterministic trace of workload flows
 // admitted through the capacity-aware policy while the faults play out, and
-// the TM-Edge's scripted flows routed through the same policy (the engine
-// installs itself as the edge's flow placer). Checked per seed:
+// the TM-Edge's scripted flows routed through the same policy (the serial
+// WorkloadEngine, installed as the edge's flow placer, replays the trace on
+// the scenario simulator). Checked per seed:
 //
 //   - the four TM invariants (pinning, detection bound, no silent
 //     blackholing, reconvergence) on the scripted flows, unchanged;
@@ -23,7 +24,6 @@
 
 #include "faultsim/invariants.h"
 #include "faultsim/scenario.h"
-#include "netsim/shard.h"
 #include "workload/engine.h"
 
 namespace painter::workload {
@@ -39,15 +39,6 @@ struct ChaosLoadConfig {
   // contract); the DES itself is single-threaded. Results are identical at
   // any value — the under-load byte-identity test pins this.
   std::size_t num_threads = 1;
-  // 0 = the serial WorkloadEngine on the scenario simulator (the classic
-  // path, byte-identical to before the sharded timeline existed). >= 1 =
-  // the sharded replay (DESIGN.md §13) with that many shard simulators;
-  // results are identical for every value >= 1 but NOT to the serial path
-  // (per-tick instead of per-arrival policy decisions).
-  std::size_t shards = 0;
-  // Optional des.shard<i>.* series (sharded path only); see
-  // ShardedReplayConfig::shard_timeseries for the cross-shard-count caveat.
-  obs::TimeseriesRegistry* shard_timeseries = nullptr;
   EngineConfig engine;
   // Optional streaming telemetry: threaded to both the scenario (edge
   // samplers, switchover events) and the engine (occupancy, utilization),

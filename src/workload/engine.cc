@@ -1,12 +1,9 @@
 #include "workload/engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "control/delta_bus.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -112,18 +109,6 @@ void WorkloadEngine::Start() {
   start_us_ = sim_->NowUs();
   sim_->ScheduleAtUs(start_us_ + tick_us_, [this]() { Tick(); });
 
-  // Control-plane feed baselines: utilization starts at its true initial
-  // value (so the first real swing publishes), RTTs start unmeasured (the
-  // first measurement initializes silently — nothing changed yet).
-  if (config_.delta_bus != nullptr) {
-    published_util_.resize(load_->PopCount());
-    for (std::size_t p = 0; p < load_->PopCount(); ++p) {
-      published_util_[p] = load_->Utilization(static_cast<int>(p));
-    }
-    published_rtt_.assign(edge_->TunnelCount(),
-                          std::numeric_limits<double>::quiet_NaN());
-  }
-
   // Streaming telemetry: occupancy and per-PoP utilization, sampled on the
   // registry's own grid. Pure reads — the samplers never touch engine state.
   if (config_.timeseries != nullptr) {
@@ -201,35 +186,6 @@ void WorkloadEngine::ExpireBucket(std::size_t bucket) {
   expiry_buckets_[bucket].shrink_to_fit();
 }
 
-void WorkloadEngine::PublishDeltas(const std::vector<TunnelView>& views) {
-  control::DeltaBus& bus = *config_.delta_bus;
-  const netsim::SimTime now = sim_->NowUs();
-  for (std::size_t p = 0; p < load_->PopCount(); ++p) {
-    const double util = load_->Utilization(static_cast<int>(p));
-    if (std::abs(util - published_util_[p]) >= config_.load_delta_frac) {
-      bus.Publish(control::Delta{control::DeltaKind::kPopLoad, now,
-                                 static_cast<std::uint32_t>(p), util});
-      published_util_[p] = util;
-    }
-  }
-  for (const TunnelView& v : views) {
-    if (!v.usable || v.tunnel < 0) continue;
-    const auto t = static_cast<std::size_t>(v.tunnel);
-    if (t >= published_rtt_.size()) continue;
-    if (std::isnan(published_rtt_[t])) {
-      published_rtt_[t] = v.rtt_ms;  // first sighting: baseline, no delta
-      continue;
-    }
-    const double delta = std::abs(v.rtt_ms - published_rtt_[t]);
-    if (delta >= config_.rtt_delta_ms) {
-      bus.Publish(control::Delta{control::DeltaKind::kUgLatency, now,
-                                 static_cast<std::uint32_t>(t), delta});
-      published_rtt_[t] = v.rtt_ms;
-    }
-  }
-  load_->PublishCapacityDeltas(bus, now);
-}
-
 void WorkloadEngine::Tick() {
   // Trace time, exact on the integer clock — no float round-trip, so an
   // arrival due precisely on the tick boundary satisfies `<= now_us`.
@@ -251,11 +207,6 @@ void WorkloadEngine::Tick() {
 
   if (tick_index_ < expiry_buckets_.size()) ExpireBucket(tick_index_);
   ++tick_index_;
-
-  // Feed the control plane after this tick's admissions and expiries — the
-  // published state is what the tick left behind. Reads only; a null bus
-  // leaves the run untouched.
-  if (config_.delta_bus != nullptr) PublishDeltas(views);
 
   const bool trace_done = cursor_ >= events.size();
   const bool drained = store_.empty();

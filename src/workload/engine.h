@@ -50,10 +50,6 @@ namespace painter::obs {
 class TimeseriesRegistry;
 }  // namespace painter::obs
 
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
-
 namespace painter::workload {
 
 // A pinned workload flow. The destination is immutable after admission.
@@ -86,17 +82,6 @@ struct EngineConfig {
   // Samplers are pure reads of engine/load state; the registry must outlive
   // the run. Null leaves the tick sequence untouched.
   obs::TimeseriesRegistry* timeseries = nullptr;
-  // Optional control-plane feed (DESIGN.md §15). When set, each tick
-  // publishes typed deltas for changes crossing the thresholds below:
-  // kPopLoad when a PoP's utilization moved by ≥ load_delta_frac since its
-  // last published value, kUgLatency (id = tunnel) when a tunnel's view RTT
-  // moved by ≥ rtt_delta_ms (a tunnel's first measured RTT initializes
-  // silently — nothing changed yet), plus LoadTracker's coarse kCapacity
-  // band crossings. Null publishes nothing and perturbs nothing: the tick
-  // sequence and every stat are byte-identical to a bus-less run.
-  control::DeltaBus* delta_bus = nullptr;
-  double load_delta_frac = 0.10;
-  double rtt_delta_ms = 5.0;
 };
 
 // Service-time derivation shared by the serial engine and the sharded
@@ -173,7 +158,6 @@ class WorkloadEngine {
   void Admit(const FlowEvent& event, const std::vector<TunnelView>& views);
   void ExpireBucket(std::size_t bucket);
   [[nodiscard]] std::size_t BucketOf(std::uint64_t expiry_us) const;
-  void PublishDeltas(const std::vector<TunnelView>& views);
 
   netsim::Simulator* sim_;
   tm::TmEdge* edge_;
@@ -191,10 +175,6 @@ class WorkloadEngine {
   // expiry_buckets_[k]: keys whose flows expire within tick k.
   std::vector<std::vector<netsim::FlowKey>> expiry_buckets_;
   Stats stats_;
-  // Last values published on the delta bus (empty unless delta_bus is set):
-  // per-PoP utilization and per-tunnel view RTT (NaN = not yet measured).
-  std::vector<double> published_util_;
-  std::vector<double> published_rtt_;
 };
 
 }  // namespace painter::workload

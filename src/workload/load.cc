@@ -1,9 +1,7 @@
 #include "workload/load.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "control/delta_bus.h"
 #include "obs/metrics.h"
 
 namespace painter::workload {
@@ -87,27 +85,6 @@ void LoadTracker::ExportGauges(const std::string& prefix) const {
     obs::Metrics()
         .GetGauge(prefix + ".pop" + std::to_string(p) + ".utilization")
         .Set(Utilization(static_cast<int>(p)));
-  }
-}
-
-void LoadTracker::PublishCapacityDeltas(control::DeltaBus& bus,
-                                        std::uint64_t t_us, double band_frac) {
-  if (band_frac <= 0.0) return;
-  if (capacity_band_.size() != capacity_.size()) {
-    capacity_band_.assign(capacity_.size(), -1);
-  }
-  for (std::size_t p = 0; p < capacity_.size(); ++p) {
-    const double util = Utilization(static_cast<int>(p));
-    const int band = static_cast<int>(std::floor(util / band_frac));
-    if (capacity_band_[p] == -1) {
-      capacity_band_[p] = band;  // baseline: nothing has changed yet
-      continue;
-    }
-    if (band != capacity_band_[p]) {
-      capacity_band_[p] = band;
-      bus.Publish(control::Delta{control::DeltaKind::kCapacity, t_us,
-                                 static_cast<std::uint32_t>(p), util});
-    }
   }
 }
 

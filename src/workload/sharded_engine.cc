@@ -8,7 +8,6 @@
 #include "netsim/packet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
 
 namespace painter::workload {
 namespace {
@@ -37,8 +36,7 @@ netsim::ShardedSimulator::Config DesConfigFor(
   return netsim::ShardedSimulator::Config{
       .shards = config.shards,
       // Epoch = admission tick (see the header's epoch-length rationale).
-      .epoch_us = netsim::UsFromSeconds(config.engine.tick_s),
-      .timeseries = config.shard_timeseries};
+      .epoch_us = netsim::UsFromSeconds(config.engine.tick_s)};
 }
 
 }  // namespace
@@ -56,7 +54,15 @@ ShardedWorkloadReplay::ShardedWorkloadReplay(
       trace_(&trace),
       config_(std::move(config)),
       shards_(des_.ShardCount()),
-      tick_us_(des_.EpochUs()) {}
+      tick_us_(des_.EpochUs()) {
+  // The serial engine's hooks: a bare replay honours none of them.
+  const EngineConfig& e = config_.engine;
+  if (e.place_edge_flows || e.on_arrival || e.timeseries != nullptr) {
+    throw std::invalid_argument{
+        "ShardedWorkloadReplay: place_edge_flows, on_arrival and timeseries "
+        "are not supported; use WorkloadEngine"};
+  }
+}
 
 std::size_t ShardedWorkloadReplay::BucketOf(std::uint64_t expiry_us) const {
   // Identical to WorkloadEngine::BucketOf: bucket k drains at trace time
@@ -112,33 +118,6 @@ void ShardedWorkloadReplay::Start() {
     // barrier guarantees tick k has run on every shard before merge k.
     des_.shard(s).ScheduleAtUs(start_us_ + tick_us_,
                                [this, s]() { ShardTick(s); });
-  }
-
-  if (config_.engine.place_edge_flows) {
-    // Scripted per-packet flows started through TmEdge::StartFlow run as
-    // control events, so they see live edge views plus the authoritative
-    // load as of the last barrier — deterministic at any shard count
-    // because the control timeline is serial.
-    edge_->SetFlowPlacer([this](const netsim::FlowKey&, int chosen) {
-      const std::vector<TunnelView> views =
-          SnapshotViews(*edge_, tunnel_pop_);
-      const int pick = policy_->Pick(views, *load_);
-      return pick >= 0 ? pick : chosen;
-    });
-  }
-
-  // Same series the serial engine registers; samplers run as control events
-  // while the shards are parked at the barrier, and the values (total
-  // occupancy, merged per-PoP utilization) are shard-count-invariant.
-  if (config_.engine.timeseries != nullptr) {
-    config_.engine.timeseries->RegisterSampler(
-        "workload.engine.concurrent_flows",
-        [this]() { return static_cast<double>(LiveFlows()); });
-    for (std::size_t p = 0; p < load_->PopCount(); ++p) {
-      config_.engine.timeseries->RegisterSampler(
-          "workload.load.pop" + std::to_string(p) + ".utilization",
-          [this, p]() { return load_->Utilization(static_cast<int>(p)); });
-    }
   }
 }
 
@@ -257,12 +236,11 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   const std::uint64_t now_us = boundary_us - start_us_;
   const std::vector<FlowEvent>& events = trace_->events;
 
-  // Arrival-order work: on_arrival and the count stats walk the *global*
-  // trace cursor, so hook order and counts are independent of the
-  // partition. Every shard consumed exactly its slice of this range.
+  // The count stats walk the *global* trace cursor, so they are
+  // independent of the partition. Every shard consumed exactly its slice of
+  // this range.
   std::size_t due_end = global_cursor_;
   while (due_end < events.size() && events[due_end].start_us <= now_us) {
-    if (config_.engine.on_arrival) config_.engine.on_arrival(events[due_end]);
     ++due_end;
   }
   const auto due = static_cast<std::uint64_t>(due_end - global_cursor_);

@@ -26,15 +26,19 @@
 // applies them to the authoritative tracker in exactly that order — a
 // canonical order no shard count can perturb — so even the floating-point
 // folds (offered bytes/s, high-water utilization) come out bit-identical.
-// The merge also drives EngineConfig::on_arrival in global trace order,
-// with control-shard state (DNS TTL versions, advertisement rounds) frozen
-// at the boundary.
+//
+// The replay is a bare trace replay: it installs no edge flow placer,
+// registers no telemetry samplers and calls no per-arrival hook, so the
+// constructor rejects an EngineConfig that sets place_edge_flows, on_arrival
+// or timeseries instead of dropping the hook silently. The chaos-under-load
+// and unified-timeline harnesses run the serial WorkloadEngine, which
+// honours all three.
 //
 // The per-flow hot path is also simply cheaper than the serial engine's:
 // one policy Pick per tick instead of per arrival, no Find before the
 // expiry Erase (bucket entries carry pop and rate), and per-epoch instead
-// of per-flow metrics increments — so `--shards 1` is a faster serial
-// engine.
+// of per-flow metrics increments — so a one-shard replay is a faster
+// serial engine.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +59,15 @@ struct ShardedReplayConfig {
   // Power of two in [1, 256]. 1 = the serial semantics of this engine (NOT
   // byte-identical to WorkloadEngine: see the snapshot-decision note above).
   std::size_t shards = 1;
-  // Tick/duration/policy-hook configuration, shared with the serial engine.
-  // `engine.timeseries` registers the same occupancy/utilization samplers
-  // the serial engine registers (shard-count-invariant values).
+  // Tick, flow-duration and store configuration, shared with the serial
+  // engine. Its hooks (place_edge_flows, on_arrival, timeseries) must stay
+  // unset: the constructor throws std::invalid_argument otherwise.
   EngineConfig engine;
-  // Optional des.shard<i>.* queue-depth / epoch-skew series. The key set
-  // depends on the shard count by construction, so never attach a registry
-  // that is byte-compared across shard counts.
-  obs::TimeseriesRegistry* shard_timeseries = nullptr;
 };
 
 // Drives a trace through a TM-Edge exactly like WorkloadEngine, but over
 // `shards` shard-local simulators synchronized on the control simulator's
-// tick grid. The edge, tunnels, faults, and samplers stay on `control`.
+// tick grid. The edge and its tunnels stay on `control`.
 class ShardedWorkloadReplay {
  public:
   using Stats = WorkloadEngine::Stats;
@@ -83,10 +83,9 @@ class ShardedWorkloadReplay {
                         LoadTracker&, const DestinationPolicy&&, const Trace&,
                         ShardedReplayConfig = {}) = delete;
 
-  // Partitions the trace, schedules every shard's tick loop, and (when
-  // configured) installs the edge flow placer and telemetry samplers.
-  // Anchors the epoch grid at the control clock's current time; call Run()
-  // without running the control simulator in between.
+  // Partitions the trace and schedules every shard's tick loop. Anchors the
+  // epoch grid at the control clock's current time; call Run() without
+  // running the control simulator in between.
   void Start();
 
   // Runs epochs until the control clock reaches `until_s` / `until_us`.

@@ -1,16 +1,17 @@
-// Property suite for the sharded timeline (DESIGN.md §13).
+// Property suite for the sharded replay (DESIGN.md §13).
 //
 // The headline property: the sharded workload replay is a pure function of
 // (world, trace, config) — bit-identical canonical stats at every shard
-// count in {1, 2, 4, 8}, serially and under chaos plans. Plus the
-// epoch-barrier edge cases the determinism argument leans on: an event
-// landing exactly on a barrier belongs to the epoch that ends there, and
-// cross-shard load deltas merged at the barrier land in canonical trace
-// order.
+// count in {1, 2, 4, 8}. Plus the epoch-barrier edge cases the determinism
+// argument leans on: an event landing exactly on a barrier belongs to the
+// epoch that ends there, and cross-shard load deltas merged at the barrier
+// land in canonical trace order. The replay is bare: it rejects the serial
+// engine's hooks instead of dropping them.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,10 +22,9 @@
 #include "netsim/path.h"
 #include "netsim/shard.h"
 #include "netsim/sim.h"
-#include "timeline/unified.h"
+#include "obs/timeseries.h"
 #include "tm/tm_edge.h"
 #include "tm/tm_pop.h"
-#include "workload/chaos_load.h"
 #include "workload/engine.h"
 #include "workload/load.h"
 #include "workload/sharded_engine.h"
@@ -336,65 +336,34 @@ TEST(ShardReplayEdge, CrossShardDeltasAtEpochEndMergeCanonically) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos plans: invariants and stats identical at every shard count.
+// The serial engine's hooks are rejected, not dropped silently.
 
-TEST(ShardChaosProperty, InvariantsAndStatsIdenticalAcrossShardCounts) {
-  for (const std::uint64_t seed : {1ull, 5ull, 9ull}) {
-    workload::ChaosLoadConfig cfg;
-    cfg.shards = 1;
-    const workload::ChaosLoadResult base =
-        workload::RunChaosUnderLoad(seed, {}, cfg);
-    EXPECT_TRUE(base.ok()) << "seed " << seed;
-    EXPECT_GT(base.load_stats.started, 0u);
-    for (const std::size_t shards : {2u, 4u}) {
-      workload::ChaosLoadConfig scfg;
-      scfg.shards = shards;
-      const workload::ChaosLoadResult got =
-          workload::RunChaosUnderLoad(seed, {}, scfg);
-      EXPECT_TRUE(got.ok()) << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(got.invariants.violations, base.invariants.violations);
-      EXPECT_EQ(got.load_stats.arrivals, base.load_stats.arrivals);
-      EXPECT_EQ(got.load_stats.started, base.load_stats.started);
-      EXPECT_EQ(got.load_stats.rejected, base.load_stats.rejected);
-      EXPECT_EQ(got.load_stats.completed, base.load_stats.completed);
-      EXPECT_EQ(got.load_stats.peak_concurrent,
-                base.load_stats.peak_concurrent);
-      EXPECT_EQ(got.load_stats.down_picks, base.load_stats.down_picks);
-      EXPECT_EQ(got.load_stats.saturated_assignments,
-                base.load_stats.saturated_assignments);
-      EXPECT_EQ(got.load_stats.bytes_offered, base.load_stats.bytes_offered);
-      EXPECT_EQ(got.load_stats.max_utilization,
-                base.load_stats.max_utilization);
-    }
-  }
-}
+TEST(ShardReplayConfig, RejectsSerialEngineHooks) {
+  ReplayWorld w;
+  BuildReplayWorld(w, 7);
+  const workload::Trace trace = HandTrace({}, 300'000);
+  const workload::LoadAwarePolicy policy{0.85};
+  const auto construct = [&](const workload::EngineConfig& engine) {
+    workload::ShardedReplayConfig cfg;
+    cfg.shards = 2;
+    cfg.engine = engine;
+    workload::ShardedWorkloadReplay replay{
+        w.sim, *w.edge, w.tunnel_pop, w.load, policy, trace, cfg};
+  };
+  ASSERT_NO_THROW(construct(ReplayEngineConfig()));
 
-// ---------------------------------------------------------------------------
-// Unified timeline: canonical summary invariant in the shard count.
+  workload::EngineConfig placer = ReplayEngineConfig();
+  placer.place_edge_flows = true;
+  EXPECT_THROW(construct(placer), std::invalid_argument);
 
-TEST(ShardTimelineProperty, UnifiedSummaryIdenticalAcrossShardCounts) {
-  timeline::UnifiedTimelineConfig cfg;
-  cfg.seed = 13;
-  cfg.stubs = 60;
-  cfg.pops = 4;
-  cfg.transits = 10;
-  cfg.regionals = 20;
-  cfg.trace_duration_s = 60.0;
-  cfg.mean_flows_per_s = 15.0;
-  cfg.round_start_s = 5.0;
-  cfg.round_interval_s = 30.0;
-  cfg.max_rounds = 2;
-  cfg.ttl_s = 15.0;
-  cfg.curve_bucket_s = 30.0;
-  cfg.shards = 1;
-  const std::string base =
-      timeline::CanonicalSummary(timeline::RunUnifiedTimeline(cfg));
-  for (const std::size_t shards : {2u, 4u}) {
-    cfg.shards = shards;
-    EXPECT_EQ(timeline::CanonicalSummary(timeline::RunUnifiedTimeline(cfg)),
-              base)
-        << "shards " << shards;
-  }
+  workload::EngineConfig arrival = ReplayEngineConfig();
+  arrival.on_arrival = [](const workload::FlowEvent&) {};
+  EXPECT_THROW(construct(arrival), std::invalid_argument);
+
+  obs::TimeseriesRegistry timeseries{{.period_s = 1.0}};
+  workload::EngineConfig sampled = ReplayEngineConfig();
+  sampled.timeseries = &timeseries;
+  EXPECT_THROW(construct(sampled), std::invalid_argument);
 }
 
 }  // namespace

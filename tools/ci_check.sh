@@ -2,8 +2,11 @@
 # The full local CI pipeline, in escalating order of cost:
 #
 #   0. lint     — tools/metrics_lint.py: metric-name literals must follow
-#                 the registry naming convention (free, fails fast); plus
-#                 the unit checks of tools/bench_compare.py's exit status.
+#                 the registry naming convention (free, fails fast);
+#                 tools/layering_lint.py: every src/ include names a linked
+#                 library and the link graph is acyclic; plus the unit
+#                 checks of tools/layering_lint.py's and
+#                 tools/bench_compare.py's exit status.
 #   1. tier1    — the deterministic correctness gate (ctest -L tier1,
 #                 including the slow property suites): must stay green on
 #                 every change.
@@ -22,11 +25,9 @@
 #                 run of bench/workload_throughput (tiny trace, full pipeline:
 #                 generate -> pin-lookup -> policy replay -> sharded sweep).
 #   6. shard    — the sharded DES tier (ctest -L shard: epoch-barrier
-#                 protocol ordering, serial-vs-sharded bit-identity across
-#                 shard counts, chaos/timeline identity under the sharded
-#                 engine) plus a sharded smoke of
-#                 bench/unified_timeline (--shards 2, its own gates still
-#                 apply).
+#                 protocol ordering, sharded-replay bit-identity across
+#                 shard counts, and the replay's rejection of the serial
+#                 engine's hooks).
 #   7. timeline — the unified-timeline tier (ctest -L timeline: integer-µs
 #                 clock, tick-grid, TTL-cache, and byte-identity tests) plus
 #                 a smoke run of bench/unified_timeline, whose own gates
@@ -56,8 +57,9 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 
-echo "=== ci 0/10: metrics naming lint ==="
+echo "=== ci 0/10: metrics naming + library layering lints ==="
 python3 tools/metrics_lint.py
+python3 tools/layering_lint.py
 python3 -B -m unittest discover -s tools -p 'test_*.py'
 
 echo "=== ci 1/10: tier1 correctness gate ==="
@@ -79,10 +81,8 @@ ctest --test-dir "$BUILD_DIR" -L workload --output-on-failure
 cmake --build "$BUILD_DIR" -j --target workload_throughput >/dev/null
 "$BUILD_DIR"/bench/workload_throughput --smoke >/dev/null
 
-echo "=== ci 6/10: shard tier + sharded-timeline smoke ==="
+echo "=== ci 6/10: shard tier ==="
 ctest --test-dir "$BUILD_DIR" -L shard --output-on-failure
-cmake --build "$BUILD_DIR" -j --target unified_timeline >/dev/null
-"$BUILD_DIR"/bench/unified_timeline --smoke --shards 2 >/dev/null
 
 echo "=== ci 7/10: timeline tier + unified-timeline smoke ==="
 ctest --test-dir "$BUILD_DIR" -L timeline --output-on-failure
